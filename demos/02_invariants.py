@@ -23,7 +23,7 @@ from vstring import (
 
 w = parse("ABCACB|aaa")
 print("word:", w)
-print("weights n(X):", n_values(w))
+print("weights n(X):", dict(n_values(w)))
 print("u-polynomial:", u_polynomial(w))
 
 # Tail and head matrices record which arrow ends fall inside each letter's

@@ -20,7 +20,7 @@ from vstring import (
 )
 
 w = parse("ABCACB|aaa")
-print("weights:", n_values(w))
+print("weights:", dict(n_values(w)))
 for r in (0, 1, 2, 3):
     print(f"cover r={r}:", covering(w, r))
 

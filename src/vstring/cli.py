@@ -24,8 +24,6 @@ from .enumeration import canonical_population
 from .invariants import (
     invariant_bundle,
     n_values,
-    reduce_to_primitive,
-    based_matrix,
     u_polynomial,
 )
 from .ops import cable, compose, covering, gen_alpha_n, gen_gamma_pq, r_dot, uncover_preimage

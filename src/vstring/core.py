@@ -34,8 +34,9 @@ all operations are pure functions.
 from __future__ import annotations
 
 import enum
+import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -93,7 +94,7 @@ class Nanoword:
     letters, i.e. half the word length.
     """
 
-    __slots__ = ("word", "_tmap", "_letters", "_occ", "_hash", "_canon_text")
+    __slots__ = ("word", "_tmap", "_letters", "_occ", "_hash", "_canon")
 
     def __init__(self, word: Iterable[str], types: Mapping[str, str]):
         word = tuple(word)
@@ -123,7 +124,7 @@ class Nanoword:
         self._letters = tuple(sorted(occ))
         self._occ = {name: (p[0], p[1]) for name, p in occ.items()}
         self._hash: int | None = None
-        self._canon_text: str | None = None
+        self._canon: tuple[str, int] | None = None
 
     @property
     def rank(self) -> int:
@@ -153,15 +154,7 @@ class Nanoword:
         (``X.1 Y X.1 Y | X.1=a Y=b``) otherwise.  The empty word prints as
         ``0``.
         """
-        if not self.word:
-            return "0"
-        if all(len(name) == 1 for name in self._letters):
-            return "".join(self.word) + "|" + "".join(
-                self._tmap[name] for name in self._letters
-            )
-        tokens = " ".join(self.word)
-        binds = " ".join(f"{name}={self._tmap[name]}" for name in self._letters)
-        return f"{tokens} | {binds}"
+        return _text(self.word, self._tmap)
 
     def __str__(self) -> str:
         return self.text()
@@ -224,19 +217,40 @@ def _canonical_name(i: int) -> str:
     return f"{chr(65 + i % 26)}.{i // 26}"
 
 
+def _text(word: tuple[str, ...], tmap: Mapping[str, str]) -> str:
+    """The printed form of a word and its types (see ``Nanoword.text``)."""
+    if not word:
+        return "0"
+    letters = sorted(tmap)
+    if all(len(name) == 1 for name in letters):
+        return "".join(word) + "|" + "".join(tmap[name] for name in letters)
+    tokens = " ".join(word)
+    binds = " ".join(f"{name}={tmap[name]}" for name in letters)
+    return f"{tokens} | {binds}"
+
+
+def _relabelled_shift(alpha: Nanoword, k: int) -> tuple[tuple[str, ...], dict[str, str]]:
+    """Word and types of ``shift^k(alpha)``, renamed A, B, ... in first-occurrence order.
+
+    Rotation k is ``word[k:] + word[:k]``; a letter whose first occurrence is
+    carried past the base point but whose second is not has its type flipped.
+    """
+    rotated = alpha.word[k:] + alpha.word[:k]
+    names = {old: _canonical_name(i) for i, old in enumerate(dict.fromkeys(rotated))}
+    types: dict[str, str] = {}
+    for old, new in names.items():
+        first, second = alpha._occ[old]
+        t = alpha._tmap[old]
+        types[new] = _other(t) if first < k <= second else t
+    return tuple(names[x] for x in rotated), types
+
+
 def canonical_relabel(alpha: Nanoword) -> Nanoword:
     """Rename letters A, B, C, ... in order of first occurrence.
 
     Idempotent, and the result is isomorphic to the input.
     """
-    mapping: dict[str, str] = {}
-    for name in alpha.word:
-        if name not in mapping:
-            mapping[name] = _canonical_name(len(mapping))
-    return Nanoword(
-        (mapping[name] for name in alpha.word),
-        {new: alpha.type_of(old) for old, new in mapping.items()},
-    )
+    return Nanoword(*_relabelled_shift(alpha, 0))
 
 
 def isomorphic(alpha: Nanoword, beta: Nanoword) -> bool:
@@ -278,34 +292,40 @@ def shift_orbit(alpha: Nanoword) -> list[Nanoword]:
     return orbit
 
 
+def _shift_canonical_key(alpha: Nanoword) -> tuple[str, int]:
+    """(canonical text, least k reaching it), computed once per word."""
+    if alpha._canon is None:
+        alpha._canon = min(
+            (_text(*_relabelled_shift(alpha, k)), k)
+            for k in range(len(alpha.word) or 1)
+        )
+    return alpha._canon
+
+
 def shift_canonical(alpha: Nanoword) -> Nanoword:
     """Canonical representative of the shift orbit.
 
     The lexicographically least printed form among the canonical relabellings
     of all shifts of ``alpha``.  Used wherever base-point independence is
-    needed (search states, tabulation keys).
+    needed (search states, tabulation keys).  Returns ``alpha`` itself when
+    it already is that representative.
     """
-    return min(
-        (canonical_relabel(w) for w in shift_orbit(alpha)),
-        key=lambda w: w.text(),
-    )
+    text, k = _shift_canonical_key(alpha)
+    if alpha.text() == text:
+        return alpha
+    canon = Nanoword(*_relabelled_shift(alpha, k))
+    canon._canon = (text, 0)
+    return canon
 
 
 def shift_canonical_text(alpha: Nanoword) -> str:
-    if alpha._canon_text is None:
-        alpha._canon_text = shift_canonical(alpha).text()
-    return alpha._canon_text
+    """``shift_canonical(alpha).text()``, computed once per word and memoised on it."""
+    return _shift_canonical_key(alpha)[0]
 
 
 def shifts_to_canonical(alpha: Nanoword) -> int:
     """Least k >= 0 with canonical_relabel(shift^k(alpha)) == shift_canonical(alpha)."""
-    target = shift_canonical_text(alpha)
-    current = alpha
-    k = 0
-    while canonical_relabel(current).text() != target:
-        current = shift(current)
-        k += 1
-    return k
+    return _shift_canonical_key(alpha)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -678,23 +698,11 @@ def _invert_one(before: Nanoword, site: MoveSite) -> MoveSite:
 # Letter name allocation
 
 
-def _canonical_name_stream() -> Iterator[str]:
-    i = 0
-    while True:
-        yield _canonical_name(i)
-        i += 1
-
-
 def fresh_names(used: Iterable[str], count: int) -> list[str]:
     """``count`` names not in ``used``, in canonical (A, B, ..., A.1, ...) order."""
     taken = set(used)
-    out: list[str] = []
-    for name in _canonical_name_stream():
-        if name not in taken:
-            out.append(name)
-            if len(out) == count:
-                return out
-    raise AssertionError("unreachable")
+    names = (_canonical_name(i) for i in itertools.count())
+    return list(itertools.islice((n for n in names if n not in taken), count))
 
 
 def continuation_names(used: Iterable[str], count: int) -> list[str]:
@@ -704,22 +712,8 @@ def continuation_names(used: Iterable[str], count: int) -> list[str]:
     rule for composing words: a word on A..D gets companions E, F, G, ...
     """
     taken = set(used)
-    singles = [ord(u) for u in taken if len(u) == 1]
-    start = max(singles) + 1 if singles else ord("A")
-    out: list[str] = []
-    for code in range(start, ord("Z") + 1):
-        name = chr(code)
-        if name not in taken:
-            out.append(name)
-            if len(out) == count:
-                return out
-    i = 26
-    while len(out) < count:
-        name = _canonical_name(i)
-        if name not in taken:
-            out.append(name)
-        i += 1
-    return out
+    top = max((ord(u) for u in taken if len(u) == 1), default=ord("A") - 1)
+    return fresh_names(taken | {chr(c) for c in range(ord("A"), top + 1)}, count)
 
 
 def relabel_disjoint(
@@ -730,10 +724,7 @@ def relabel_disjoint(
     Names are assigned in order of first occurrence.  Returns the renamed word
     and the old -> new mapping.
     """
-    order: list[str] = []
-    for name in beta.word:
-        if name not in order:
-            order.append(name)
+    order = list(dict.fromkeys(beta.word))
     new = continuation_names(set(used) | set(order), len(order))
     mapping = dict(zip(order, new))
     renamed = Nanoword(

@@ -20,6 +20,7 @@ from .core import (
     canonical_relabel,
     fresh_names,
     shift_canonical,
+    shift_canonical_text,
 )
 
 __all__ = [
@@ -77,8 +78,9 @@ def canonical_population(max_rank: int) -> list[Nanoword]:
     seen: dict[str, Nanoword] = {"0": EMPTY}
     for rank in range(1, max_rank + 1):
         for w in all_nanowords(rank):
-            c = shift_canonical(w)
-            seen.setdefault(c.text(), c)
+            key = shift_canonical_text(w)
+            if key not in seen:
+                seen[key] = shift_canonical(w)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -99,6 +101,8 @@ def sample_nanowords(
             Nanoword(seq, {x: TYPE_A for x in names})
         )
         types = {x: rng.choice((TYPE_A, TYPE_B)) for x in word.letters}
-        c = shift_canonical(Nanoword(word.word, types))
-        seen.setdefault(c.text(), c)
+        w = Nanoword(word.word, types)
+        key = shift_canonical_text(w)
+        if key not in seen:
+            seen[key] = shift_canonical(w)
     return [seen[k] for k in sorted(seen)]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -27,7 +28,6 @@ from .core import (
     TYPE_A,
     TYPE_B,
     Nanoword,
-    canonical_relabel,
     shift_canonical_text,
 )
 
@@ -156,8 +156,11 @@ def linking_number(alpha: Nanoword, a: str, b: str) -> int:
 
 
 @lru_cache(maxsize=8192)
-def n_values(alpha: Nanoword) -> dict[str, int]:
-    """n(X) = sum of linking numbers of X with every letter; sums to zero."""
+def n_values(alpha: Nanoword) -> Mapping[str, int]:
+    """n(X) = sum of linking numbers of X with every letter; sums to zero.
+
+    The result is cached per word, so it is returned as a read-only mapping.
+    """
     out = {x: 0 for x in alpha.letters}
     letters = alpha.letters
     for i, x in enumerate(letters):
@@ -165,7 +168,7 @@ def n_values(alpha: Nanoword) -> dict[str, int]:
             l = linking_number(alpha, x, y)
             out[x] += l
             out[y] -= l
-    return out
+    return MappingProxyType(out)
 
 
 def u_polynomial(alpha: Nanoword) -> UPolynomial:

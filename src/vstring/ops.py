@@ -29,7 +29,7 @@ from .core import (
     canonical_relabel,
     relabel_disjoint,
 )
-from .invariants import n_values, u_polynomial
+from .invariants import n_values
 
 __all__ = [
     "covering",

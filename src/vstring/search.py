@@ -380,13 +380,12 @@ def covering_graph(
     classes: dict[str, Nanoword] = {}
 
     def node_of(word: Nanoword) -> Nanoword:
-        canon = shift_canonical(word)
-        if oracle is None:
-            return canon
-        key = canon.text()
+        key = shift_canonical_text(word)
         if key not in classes:
-            reduced, _ = reduce_bounded(canon, oracle)
-            classes[key] = shift_canonical(reduced)
+            canon = shift_canonical(word)
+            if oracle is not None:
+                canon = shift_canonical(reduce_bounded(canon, oracle)[0])
+            classes[key] = canon
         return classes[key]
 
     nodes: dict[str, Nanoword] = {}

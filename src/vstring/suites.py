@@ -23,11 +23,8 @@ from .core import (
     RANK_INCREASING,
     RANK_PRESERVING,
     apply_move,
-    canonical_relabel,
     find_sites,
     isomorphic,
-    parse,
-    shift,
 )
 from .enumeration import canonical_population, sample_nanowords
 from .invariants import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import Nanoword, parse, shift_canonical
+from .core import Nanoword, shift_canonical, shift_canonical_text
 from .invariants import based_matrix, reduce_to_primitive, u_polynomial
 from .enumeration import canonical_population
 from .ops import covering
@@ -34,7 +34,7 @@ def record_for(word: Nanoword) -> TabulationRecord:
     primitive, _ = reduce_to_primitive(based_matrix(canonical))
     covers = []
     for r in [0, *range(2, canonical.rank + 1)]:
-        covers.append((r, shift_canonical(covering(canonical, r)).text()))
+        covers.append((r, shift_canonical_text(covering(canonical, r))))
     return TabulationRecord(
         canonical=canonical.text(),
         rank=canonical.rank,
@@ -58,7 +58,7 @@ def tabulation_records(max_rank: int, *, oracle=None) -> list[TabulationRecord]:
         by_reduced: dict[str, Nanoword] = {}
         for w in words:
             reduced, _ = reduce_bounded(w, oracle)
-            key = shift_canonical(reduced).text()
+            key = shift_canonical_text(reduced)
             if key not in by_reduced or w.text() < by_reduced[key].text():
                 by_reduced[key] = w
         words = sorted(by_reduced.values(), key=lambda w: w.text())
@@ -75,11 +75,6 @@ def record_to_json(record: TabulationRecord) -> str:
         "covers": {str(r): text for r, text in record.covers},
     }
     return json.dumps(payload, sort_keys=True)
-
-
-def record_from_json(line: str) -> TabulationRecord:
-    data = json.loads(line)
-    return record_for(parse(data["canonical"]))
 
 
 def _sig_to_json(sig) -> list:

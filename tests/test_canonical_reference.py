@@ -1,0 +1,139 @@
+"""Differential tests of shift canonicalisation and name allocation.
+
+The reference functions below are the straightforward forms: they build every
+word of the shift orbit, relabel each one, and compare printed forms.  The
+library computes the same key in one pass over rotations of the letter tuple.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from vstring.core import (
+    Nanoword,
+    canonical_relabel,
+    continuation_names,
+    parse,
+    shift,
+    shift_canonical,
+    shift_canonical_text,
+    shift_orbit,
+    shifts_to_canonical,
+)
+from vstring.enumeration import all_nanowords, canonical_population
+from vstring.ops import cable, r_dot
+
+
+def _ref_canonical_name(i: int) -> str:
+    if i < 26:
+        return chr(65 + i)
+    return f"{chr(65 + i % 26)}.{i // 26}"
+
+
+def ref_canonical_relabel(alpha: Nanoword) -> Nanoword:
+    mapping: dict[str, str] = {}
+    for name in alpha.word:
+        if name not in mapping:
+            mapping[name] = _ref_canonical_name(len(mapping))
+    return Nanoword(
+        (mapping[name] for name in alpha.word),
+        {new: alpha.type_of(old) for old, new in mapping.items()},
+    )
+
+
+def ref_shift_canonical(alpha: Nanoword) -> Nanoword:
+    return min(
+        (ref_canonical_relabel(w) for w in shift_orbit(alpha)),
+        key=lambda w: w.text(),
+    )
+
+
+def ref_shifts_to_canonical(alpha: Nanoword) -> int:
+    target = ref_shift_canonical(alpha).text()
+    current = alpha
+    k = 0
+    while ref_canonical_relabel(current).text() != target:
+        current = shift(current)
+        k += 1
+    return k
+
+
+def ref_continuation_names(used, count: int) -> list[str]:
+    taken = set(used)
+    singles = [ord(u) for u in taken if len(u) == 1]
+    start = max(singles) + 1 if singles else ord("A")
+    out: list[str] = []
+    for code in range(start, ord("Z") + 1):
+        name = chr(code)
+        if name not in taken:
+            out.append(name)
+            if len(out) == count:
+                return out
+    i = 26
+    while len(out) < count:
+        name = _ref_canonical_name(i)
+        if name not in taken:
+            out.append(name)
+        i += 1
+    return out
+
+
+def assert_matches_reference(w: Nanoword) -> None:
+    expected = ref_shift_canonical(w)
+    assert shift_canonical_text(w) == expected.text()
+    assert shift_canonical(w) == expected
+    assert shifts_to_canonical(w) == ref_shifts_to_canonical(w)
+    assert canonical_relabel(w) == ref_canonical_relabel(w)
+
+
+@pytest.mark.parametrize("rank", range(5))
+def test_every_raw_word_up_to_rank_4(rank):
+    for w in all_nanowords(rank):
+        assert_matches_reference(w)
+
+
+_NAMES = [chr(65 + i) for i in range(26)] + ["X.1", "A.2", "B.1", "Q_3", "C.10", "Z.0"]
+
+
+@st.composite
+def named_nanowords(draw, max_rank=7):
+    rank = draw(st.integers(0, max_rank))
+    names = draw(st.lists(st.sampled_from(_NAMES), min_size=rank, max_size=rank, unique=True))
+    seq = draw(st.permutations([i // 2 for i in range(2 * rank)]))
+    types = {name: draw(st.sampled_from("ab")) for name in names}
+    return Nanoword((names[i] for i in seq), types)
+
+
+@given(named_nanowords())
+@settings(max_examples=200, deadline=None)
+def test_extended_names(w):
+    assert_matches_reference(w)
+
+
+@pytest.mark.parametrize(
+    "word",
+    [cable(parse("ABCACB|aaa"), 3), r_dot(parse("ABCACB|aba"), 9)],
+    ids=["cable3", "rdot9"],
+)
+def test_canonical_names_past_z(word):
+    # Past Z, lexicographic order of the names (A, A.1, B, ...) differs from
+    # first-occurrence order, so the type bindings print in another order.
+    assert word.rank > 26
+    assert_matches_reference(word)
+    assert_matches_reference(shift(shift(shift(word))))
+
+
+def test_canonical_word_is_returned_unchanged():
+    for c in canonical_population(3):
+        assert shift_canonical(c) is c
+        assert shifts_to_canonical(c) == 0
+
+
+@given(
+    st.sets(st.sampled_from(_NAMES + ["a", "Y.2", "A.1"]), max_size=30),
+    st.integers(1, 30),
+)
+@settings(max_examples=200, deadline=None)
+def test_continuation_names(used, count):
+    assert continuation_names(used, count) == ref_continuation_names(used, count)
+    # For count 0 the reference returns the rest of the alphabet.
+    assert continuation_names(used, 0) == []

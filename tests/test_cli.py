@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -141,6 +142,15 @@ class TestTabulate:
         lines = out1.read_text().splitlines()
         canonicals = [json.loads(line)["canonical"] for line in lines]
         assert canonicals == sorted(canonicals)
+
+    def test_rank_4_fingerprint(self, tmp_path, capsys):
+        out = tmp_path / "r4.jsonl"
+        assert run(capsys, "tabulate", "--max-rank", "4", "--out", str(out))[0] == 0
+        data = out.read_bytes()
+        assert data.count(b"\n") == 246
+        assert hashlib.sha256(data).hexdigest() == (
+            "960db869fee400c7840bfef4c210a627db3bb8451222d44b777959eac0fbb00b"
+        )
 
     def test_reingest_bit_identical(self, tmp_path, capsys):
         out = tmp_path / "t.jsonl"

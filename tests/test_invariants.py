@@ -77,6 +77,15 @@ class TestNValues:
     def test_empty(self):
         assert n_values(EMPTY) == {}
 
+    def test_cached_result_is_read_only(self):
+        w = parse("ABCACB|aaa")
+        u, cover = u_polynomial(w), covering(w, 2)
+        with pytest.raises(TypeError):
+            n_values(w)["A"] = 99
+        assert n_values(w) == {"A": 2, "B": -1, "C": -1}
+        assert u_polynomial(w) == u
+        assert covering(w, 2) == cover
+
     def test_gamma_family(self):
         w = gen_gamma_pq(2, 3)
         nv = n_values(w)
