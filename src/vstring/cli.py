@@ -9,7 +9,10 @@ export (``graph``).
 Exit codes: 0 for success (including an "unknown" equivalence verdict), 1 for
 usage or input errors, 2 when a verification suite fails.  The environment
 variable ``VSTRING_BUDGET`` ("rank_increase,max_states,max_depth") overrides
-the default search budget.
+the default search budget.  Requests whose size would explode are rejected
+with exit code 1 before any work: ``cable``, ``rdot`` and ``gen`` results
+above rank ``MAX_WORD_RANK``, and ``tabulate``/``graph`` above
+``--max-rank MAX_TABULATE_RANK``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ from .suites import SUITES, run_suite
 from .tabulate import tabulation_records, record_to_json
 
 __all__ = ["main", "build_parser"]
+
+#: Largest rank of a word that ``cable``, ``rdot`` and ``gen`` will build.
+MAX_WORD_RANK = 10_000
+#: Largest ``--max-rank`` that ``tabulate`` and ``graph`` will enumerate; the
+#: raw word count grows factorially with the rank.
+MAX_TABULATE_RANK = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,6 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _check_size(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ValueError(f"{what} {value} exceeds the limit {limit}")
+
+
 def _print_word(word: Nanoword, canonical: bool) -> None:
     print(canonical_relabel(word).text() if canonical else word.text())
 
@@ -165,6 +179,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tabulate(args) -> int:
+    _check_size("--max-rank", args.max_rank, MAX_TABULATE_RANK)
     records = tabulation_records(
         args.max_rank, oracle=SearchBudget.from_env() if args.oracle else None
     )
@@ -176,6 +191,7 @@ def _cmd_tabulate(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    _check_size("--max-rank", args.max_rank, MAX_TABULATE_RANK)
     graph = covering_graph(canonical_population(args.max_rank), args.r)
     with open(args.dot, "w") as fh:
         fh.write(graph.to_dot())
@@ -199,15 +215,21 @@ def main(argv: Sequence[str] | None = None) -> int:
             _print_word(compose(parse(args.first), parse(args.second)), canonical=False)
             return 0
         if args.command == "cable":
-            _print_word(cable(parse(args.word), args.n), canonical=True)
+            word, n = parse(args.word), args.n
+            _check_size("cable rank", word.rank * n * n + n - 1, MAX_WORD_RANK)
+            _print_word(cable(word, n), canonical=True)
             return 0
         if args.command == "rdot":
-            _print_word(r_dot(parse(args.word), args.r), canonical=True)
+            word = parse(args.word)
+            _check_size("r-dot rank", word.rank * args.r, MAX_WORD_RANK)
+            _print_word(r_dot(word, args.r), canonical=True)
             return 0
         if args.command == "preimage":
             _print_word(uncover_preimage(parse(args.word), args.r), canonical=True)
             return 0
         if args.command == "gen":
+            rank = args.p + args.q if args.family == "gamma" else args.n
+            _check_size("family rank", rank, MAX_WORD_RANK)
             word = (
                 gen_gamma_pq(args.p, args.q)
                 if args.family == "gamma"

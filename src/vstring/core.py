@@ -390,33 +390,25 @@ class MoveSite:
 # patterns (applying the move swaps each pair in place, which maps one
 # pattern onto the other).  Each entry gives the equality structure and how
 # to read off the schema roles (A, B, C).
-_H3_PATTERNS: dict[MoveKind, tuple[tuple[tuple[tuple[int, int], ...], tuple[int, int, int]], ...]] = {}
-
-
-def _build_h3_patterns() -> None:
-    # Pair slots are numbered u1=0 v1=1 u2=2 v2=3 u3=4 v3=5.
-    tables = {
-        MoveKind.H3: (
-            (((0, 2), (1, 4), (3, 5)), (0, 1, 3)),   # (AB)(AC)(BC)
-            (((1, 3), (0, 5), (2, 4)), (1, 0, 2)),   # (BA)(CA)(CB)
-        ),
-        MoveKind.H3A: (
-            (((0, 3), (1, 4), (2, 5)), (0, 1, 2)),   # (AB)(CA)(BC)
-            (((1, 2), (0, 5), (3, 4)), (1, 0, 3)),   # (BA)(AC)(CB)
-        ),
-        MoveKind.H3B: (
-            (((0, 3), (1, 5), (2, 4)), (0, 1, 2)),   # (AB)(CA)(CB)
-            (((1, 2), (0, 4), (3, 5)), (1, 0, 3)),   # (BA)(AC)(BC)
-        ),
-        MoveKind.H3C: (
-            (((0, 2), (1, 5), (3, 4)), (0, 1, 3)),   # (AB)(AC)(CB)
-            (((1, 3), (0, 4), (2, 5)), (1, 0, 2)),   # (BA)(CA)(BC)
-        ),
-    }
-    _H3_PATTERNS.update(tables)
-
-
-_build_h3_patterns()
+# Pair slots are numbered u1=0 v1=1 u2=2 v2=3 u3=4 v3=5.
+_H3_PATTERNS: dict[MoveKind, tuple[tuple[tuple[tuple[int, int], ...], tuple[int, int, int]], ...]] = {
+    MoveKind.H3: (
+        (((0, 2), (1, 4), (3, 5)), (0, 1, 3)),   # (AB)(AC)(BC)
+        (((1, 3), (0, 5), (2, 4)), (1, 0, 2)),   # (BA)(CA)(CB)
+    ),
+    MoveKind.H3A: (
+        (((0, 3), (1, 4), (2, 5)), (0, 1, 2)),   # (AB)(CA)(BC)
+        (((1, 2), (0, 5), (3, 4)), (1, 0, 3)),   # (BA)(AC)(CB)
+    ),
+    MoveKind.H3B: (
+        (((0, 3), (1, 5), (2, 4)), (0, 1, 2)),   # (AB)(CA)(CB)
+        (((1, 2), (0, 4), (3, 5)), (1, 0, 3)),   # (BA)(AC)(BC)
+    ),
+    MoveKind.H3C: (
+        (((0, 2), (1, 5), (3, 4)), (0, 1, 3)),   # (AB)(AC)(CB)
+        (((1, 3), (0, 4), (2, 5)), (1, 0, 2)),   # (BA)(CA)(BC)
+    ),
+}
 
 
 def _h3_type_ok(kind: MoveKind, ta: str, tb: str, tc: str) -> bool:

@@ -20,16 +20,19 @@ import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import (
+    EMPTY,
     TYPE_A,
     TYPE_B,
     Nanoword,
+    fresh_names,
     shift_canonical_text,
 )
+from .enumeration import all_nanowords
 
 __all__ = [
     "UPolynomial",
@@ -291,13 +294,9 @@ def th_realizable(
         if np.any(np.diagonal(m)) or not np.isin(m, (0, 1)).all():
             raise ValueError("matrices must be 0/1 with zero diagonal")
     if k == 0:
-        from .core import EMPTY
-
         return EMPTY
 
     target_sig = _th_signature(tail, head)
-    from .enumeration import all_nanowords
-
     for word in all_nanowords(k):
         th = head_tail_matrices(word)
         if _th_signature(th.tail, th.head) != target_sig:
@@ -306,8 +305,6 @@ def th_realizable(
         if perm is not None:
             # Rename so row i of the requested matrices is the i-th letter
             # of the result in lexicographic order.
-            from .core import fresh_names
-
             names = fresh_names((), k)
             mapping = {th.order[perm[i]]: names[i] for i in range(k)}
             return Nanoword(
@@ -404,27 +401,10 @@ class BasedMatrix:
         i, j = self.elements.index(g), self.elements.index(h)
         return int(self.pairing[i, j])
 
-    def without(self, indices: Iterable[int]) -> "BasedMatrix":
-        drop = set(indices)
-        if 0 in drop:
-            raise ValueError("the special element cannot be removed")
-        keep = [i for i in range(self.size) if i not in drop]
-        return BasedMatrix(
-            tuple(self.elements[i] for i in keep),
-            self.pairing[np.ix_(keep, keep)],
-        )
-
     def signature(self) -> tuple:
         """Isomorphism-invariant fingerprint: sorted per-row multiset keys."""
-        rows = []
-        for i in range(1, self.size):
-            row = self.pairing[i]
-            rows.append((int(row[0]), tuple(sorted(int(v) for v in row))))
-        return (
-            self.size,
-            tuple(sorted(int(v) for v in self.pairing[0])),
-            tuple(sorted(rows)),
-        )
+        rows = self.pairing.tolist()
+        return (self.size, tuple(sorted(rows[0])), tuple(sorted(_row_keys(rows))))
 
     def to_json(self) -> dict:
         return {
@@ -438,6 +418,11 @@ class BasedMatrix:
         return self.elements == other.elements and np.array_equal(
             self.pairing, other.pairing
         )
+
+
+def _row_keys(rows: list[list[int]]) -> list[tuple[int, tuple[int, ...]]]:
+    """Per-element key (b(g, s), sorted row of g) of each non-special row."""
+    return [(row[0], tuple(sorted(row))) for row in rows[1:]]
 
 
 @lru_cache(maxsize=4096)
@@ -464,24 +449,6 @@ class ReductionStep:
     removed: tuple[str, ...]
 
 
-def _reduction_candidates(m: BasedMatrix) -> list[tuple[str, tuple[int, ...]]]:
-    p = m.pairing
-    k = m.size
-    out: list[tuple[str, tuple[int, ...]]] = []
-    srow = p[0]
-    for i in range(1, k):
-        if not p[i].any():
-            out.append(("annihilating", (i,)))
-    for i in range(1, k):
-        if np.array_equal(p[i], srow):
-            out.append(("core", (i,)))
-    for i in range(1, k):
-        for j in range(i + 1, k):
-            if np.array_equal(p[i] + p[j], srow):
-                out.append(("complementary", (i, j)))
-    return out
-
-
 def reduce_to_primitive(
     m: BasedMatrix, *, rng=None
 ) -> tuple[BasedMatrix, tuple[ReductionStep, ...]]:
@@ -496,26 +463,45 @@ def reduce_to_primitive(
     Complementary pairs require two distinct elements; a self-complementary
     element (2 b(g,.) = b(s,.)) is never removed and is logged when seen.
     """
+    tags = list(m.elements)
+    rows = m.pairing.tolist()
     steps: list[ReductionStep] = []
-    current = m
     while True:
-        candidates = _reduction_candidates(current)
+        k = len(rows)
+        keys = [tuple(row) for row in rows]
+        srow = keys[0]
+        index: dict[tuple, list[int]] = {}
+        for i in range(1, k):
+            index.setdefault(keys[i], []).append(i)
+        # Candidate order (annihilating, core, pairs i < j ascending) fixes
+        # which step ``rng.randrange`` picks.
+        candidates = [("annihilating", (i,)) for i in index.get((0,) * k, ())]
+        candidates += [("core", (i,)) for i in index.get(srow, ())]
+        for i in range(1, k):
+            # From a list: tuple() of a generator grows by resizing, which
+            # fills the interpreter's per-size tuple free lists.
+            rest = tuple([s - v for s, v in zip(srow, keys[i])])
+            candidates += [
+                ("complementary", (i, j)) for j in index.get(rest, ()) if j > i
+            ]
         if not candidates:
-            for i in range(1, current.size):
-                if np.array_equal(2 * current.pairing[i], current.pairing[0]):
+            for i in range(1, k):
+                if all(2 * v == s for v, s in zip(keys[i], srow)):
                     logger.info(
                         "irreducible self-complementary element %s left in place",
-                        current.elements[i],
+                        tags[i],
                     )
-            return current, tuple(steps)
+            primitive = BasedMatrix(tuple(tags), np.array(rows, dtype=np.int64))
+            return primitive, tuple(steps)
         if rng is None:
             kind, indices = candidates[0]
         else:
             kind, indices = candidates[rng.randrange(len(candidates))]
-        steps.append(
-            ReductionStep(kind, tuple(current.elements[i] for i in indices))
-        )
-        current = current.without(indices)
+        steps.append(ReductionStep(kind, tuple(tags[i] for i in indices)))
+        for i in sorted(indices, reverse=True):
+            del tags[i], rows[i]
+            for row in rows:
+                del row[i]
 
 
 def primitive_based_matrix(alpha: Nanoword) -> BasedMatrix:
@@ -533,28 +519,15 @@ def bm_isomorphic(m1: BasedMatrix, m2: BasedMatrix) -> bool:
     Backtracking over element assignments, pruned by the per-element key
     (b(g, s), sorted multiset of the row of g); exact at desk scale.
     """
-    if m1.size != m2.size:
+    if m1.signature() != m2.signature():
         return False
-    k = m1.size
-    if k == 1:
-        return True
-
-    def key(m: BasedMatrix, i: int) -> tuple:
-        return (int(m.pairing[i, 0]), tuple(sorted(int(v) for v in m.pairing[i])))
-
-    keys1 = [key(m1, i) for i in range(1, k)]
-    keys2 = [key(m2, i) for i in range(1, k)]
-    if sorted(keys1) != sorted(keys2):
-        return False
-    if tuple(sorted(int(v) for v in m1.pairing[0])) != tuple(
-        sorted(int(v) for v in m2.pairing[0])
-    ):
-        return False
-
+    p1, p2 = m1.pairing.tolist(), m2.pairing.tolist()
+    keys2 = _row_keys(p2)
     candidates = [
-        [j for j in range(1, k) if keys2[j - 1] == keys1[i - 1]] for i in range(1, k)
+        [j for j, key2 in enumerate(keys2, 1) if key2 == key1]
+        for key1 in _row_keys(p1)
     ]
-    p1, p2 = m1.pairing, m2.pairing
+    k = m1.size
     assigned: list[int] = []
     used = [False] * k
 
@@ -565,12 +538,10 @@ def bm_isomorphic(m1: BasedMatrix, m2: BasedMatrix) -> bool:
         for j in candidates[i - 1]:
             if used[j]:
                 continue
-            if p1[i, 0] != p2[j, 0]:
-                continue
             ok = True
             for prev_i in range(1, i):
                 prev_j = assigned[prev_i - 1]
-                if p1[i, prev_i] != p2[j, prev_j]:
+                if p1[i][prev_i] != p2[j][prev_j]:
                     ok = False
                     break
             if ok:
@@ -669,17 +640,15 @@ def cable_reduced_based_matrix(p: BasedMatrix, n: int) -> BasedMatrix:
     """
     if n < 1:
         raise ValueError(f"cable width must be >= 1, got {n}")
-    base = p.elements[1:]
-    nv = {x: int(p.pairing[idx + 1, 0]) for idx, x in enumerate(base)}
+    rows = p.pairing.tolist()
     taken = {SPECIAL}
-    copies: list[tuple[str, str, int, int]] = []
+    copies: list[tuple[int, int, int]] = []  # (row of X in p, i, j) per X.i.j
     tags: list[str] = [SPECIAL]
-    for x in base:
+    for x_idx, x in enumerate(p.elements[1:], 1):
         for i in range(n):
             for j in range(n):
-                tag = _unique_tags([f"{x}.{i}.{j}"], taken)[0]
-                tags.append(tag)
-                copies.append((tag, x, i, j))
+                tags.append(_unique_tags([f"{x}.{i}.{j}"], taken)[0])
+                copies.append((x_idx, i, j))
     joins: list[tuple[str, int]] = []
     for kk in range(n - 1):
         tag = _unique_tags([f"C.{kk}"], taken)[0]
@@ -688,22 +657,17 @@ def cable_reduced_based_matrix(p: BasedMatrix, n: int) -> BasedMatrix:
     size = len(tags)
     full = np.zeros((size, size), dtype=np.int64)
     nc = len(copies)
-
-    def bxy(x: str, y: str) -> int:
-        return int(
-            p.pairing[p.elements.index(x), p.elements.index(y)]
-        )
-
-    for a_idx, (_, x, i, j) in enumerate(copies):
+    for a_idx, (x, i, j) in enumerate(copies):
         row = 1 + a_idx
-        full[row, 0] = n * nv[x]
+        nx = rows[x][0]
+        full[row, 0] = n * nx
         for b_idx in range(a_idx + 1, nc):
-            _, y, kk, ll = copies[b_idx]
-            v = bxy(x, y) + ((ll - kk) % n) * nv[x] - ((j - i) % n) * nv[y]
+            y, kk, ll = copies[b_idx]
+            v = rows[x][y] + ((ll - kk) % n) * nx - ((j - i) % n) * rows[y][0]
             full[row, 1 + b_idx] = v
             full[1 + b_idx, row] = -v
         for c_idx, (_, kk) in enumerate(joins):
-            v = (n - 1 - kk) * nv[x]
+            v = (n - 1 - kk) * nx
             full[row, 1 + nc + c_idx] = v
             full[1 + nc + c_idx, row] = -v
     full[0, 1:] = -full[1:, 0]

@@ -30,7 +30,9 @@ from .core import (
     RANK_PRESERVING,
     apply_move,
     canonical_relabel,
+    find_sites,
     invert_steps,
+    shift_canonical,
     shift_canonical_text,
     shift_orbit,
     shifts_to_canonical,
@@ -153,8 +155,6 @@ class _Frontier:
     def _successors(
         self, word: Nanoword
     ) -> Iterator[tuple[tuple[MoveSite, ...], Nanoword]]:
-        from .core import find_sites
-
         shift_site = MoveSite(MoveKind.SHIFT)
         for j, rotated in enumerate(shift_orbit(word)):
             prefix = (shift_site,) * j
@@ -375,8 +375,6 @@ def covering_graph(
     one node (keyed by the least canonical form found); the covering map is
     well-defined on homotopy classes, so edges factor through the merge.
     """
-    from .core import shift_canonical
-
     classes: dict[str, Nanoword] = {}
 
     def node_of(word: Nanoword) -> Nanoword:

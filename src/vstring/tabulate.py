@@ -15,6 +15,7 @@ from .core import Nanoword, shift_canonical, shift_canonical_text
 from .invariants import based_matrix, reduce_to_primitive, u_polynomial
 from .enumeration import canonical_population
 from .ops import covering
+from .search import reduce_bounded
 
 __all__ = ["TabulationRecord", "record_for", "tabulation_records", "record_to_json"]
 
@@ -53,8 +54,6 @@ def tabulation_records(max_rank: int, *, oracle=None) -> list[TabulationRecord]:
     """
     words = canonical_population(max_rank)
     if oracle is not None:
-        from .search import reduce_bounded
-
         by_reduced: dict[str, Nanoword] = {}
         for w in words:
             reduced, _ = reduce_bounded(w, oracle)

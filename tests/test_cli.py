@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from vstring import cli
 from vstring.cli import main
 from vstring.core import parse
 from vstring.invariants import invariant_bundle
@@ -187,3 +188,40 @@ class TestUsageErrors:
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit):
             main(["cover", "AA|a"])
+
+
+class TestSizeGuards:
+    @pytest.mark.parametrize(
+        "argv,builder",
+        [
+            (("cable", "ABCACB|aaa", "-n", "58"), "cable"),  # rank 3 * 58^2 + 57
+            (("rdot", "ABCACB|aaa", "-r", "3334"), "r_dot"),
+            (("gen", "gamma", "5000", "5001"), "gen_gamma_pq"),
+            (("gen", "alphan", "10001"), "gen_alpha_n"),
+            (("tabulate", "--max-rank", "7", "--out", "t.jsonl"), "tabulation_records"),
+            (
+                ("graph", "--max-rank", "7", "-r", "2", "--dot", "g.dot"),
+                "canonical_population",
+            ),
+        ],
+    )
+    def test_rejected_before_building(
+        self, capsys, monkeypatch, tmp_path, argv, builder
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{builder} called despite the size guard")
+
+        monkeypatch.setattr(cli, builder, refuse)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "exceeds the limit" in err
+        assert out == "" and not any(tmp_path.iterdir())
+
+    def test_limit_itself_accepted(self, capsys):
+        code, out, _ = run(capsys, "rdot", "AA|a", "-r", str(cli.MAX_WORD_RANK))
+        assert code == 0
+        assert parse(out.strip()).rank == cli.MAX_WORD_RANK
+        code, _, err = run(capsys, "rdot", "AA|a", "-r", str(cli.MAX_WORD_RANK + 1))
+        assert code == 1
+        assert "r-dot rank 10001 exceeds the limit 10000" in err

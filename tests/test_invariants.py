@@ -1,3 +1,4 @@
+import logging
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ from vstring.core import EMPTY, Nanoword, canonical_relabel, parse, shift
 from vstring.enumeration import all_nanowords, canonical_population
 from vstring.invariants import (
     BasedMatrix,
+    ReductionStep,
     UPolynomial,
     based_matrix,
     bm_isomorphic,
@@ -244,6 +246,33 @@ class TestReduction:
         assert p.elements == ("s",)
         assert [s.kind for s in steps] == ["annihilating"]
         assert steps[0].removed == ("A",)
+
+    def test_core_removal(self):
+        m = BasedMatrix(("s", "A", "B"), np.array([[0, 0, 1], [0, 0, 1], [-1, -1, 0]]))
+        p, steps = reduce_to_primitive(m)
+        assert steps == (ReductionStep("core", ("A",)),)
+        assert p.elements == ("s", "B")
+
+    def test_complementary_pair_then_annihilating(self):
+        m = BasedMatrix(
+            ("s", "A", "B", "C"),
+            np.array([[0, -1, 1, 0], [1, 0, 1, -1], [-1, -1, 0, 1], [0, 1, -1, 0]]),
+        )
+        p, steps = reduce_to_primitive(m)
+        assert steps == (
+            ReductionStep("complementary", ("A", "B")),
+            ReductionStep("annihilating", ("C",)),
+        )
+        assert p.elements == ("s",)
+
+    def test_self_complementary_left_and_logged(self, caplog):
+        m = BasedMatrix(("s", "A", "B"), np.array([[0, 0, 2], [0, 0, 1], [-2, -1, 0]]))
+        with caplog.at_level(logging.INFO, logger="vstring.invariants"):
+            p, steps = reduce_to_primitive(m)
+        assert (p, steps) == (m, ())
+        assert caplog.messages == [
+            "irreducible self-complementary element A left in place"
+        ]
 
     def test_alpha_5_already_primitive(self):
         m = based_matrix(gen_alpha_n(5))

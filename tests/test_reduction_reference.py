@@ -1,0 +1,263 @@
+"""Differential tests of based-matrix reduction, isomorphism and cable matrices.
+
+The reference functions below are the straightforward numpy forms: the
+reduction rescans every row and every pair of rows after each removal and
+builds a new matrix per step, the isomorphism test compares two private key
+lists, and the cable matrix looks each pairing entry up by element tag.  The
+library works on plain integer rows and must give the same primitive matrix,
+the same reduction steps (also under a seeded random choice), the same
+isomorphism verdicts and the same cable matrices.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from vstring.core import parse
+from vstring.enumeration import canonical_population, sample_nanowords
+from vstring.invariants import (
+    SPECIAL,
+    BasedMatrix,
+    ReductionStep,
+    _unique_tags,
+    based_matrix,
+    bm_isomorphic,
+    cable_reduced_based_matrix,
+    composite_based_matrix,
+    primitive_based_matrix,
+    reduce_to_primitive,
+)
+from vstring.ops import cable, compose
+
+from test_core import nanowords
+
+
+def ref_without(m: BasedMatrix, indices) -> BasedMatrix:
+    keep = [i for i in range(m.size) if i not in set(indices)]
+    return BasedMatrix(
+        tuple(m.elements[i] for i in keep), m.pairing[np.ix_(keep, keep)]
+    )
+
+
+def ref_reduction_candidates(m: BasedMatrix) -> list[tuple[str, tuple[int, ...]]]:
+    p = m.pairing
+    k = m.size
+    out: list[tuple[str, tuple[int, ...]]] = []
+    srow = p[0]
+    for i in range(1, k):
+        if not p[i].any():
+            out.append(("annihilating", (i,)))
+    for i in range(1, k):
+        if np.array_equal(p[i], srow):
+            out.append(("core", (i,)))
+    for i in range(1, k):
+        for j in range(i + 1, k):
+            if np.array_equal(p[i] + p[j], srow):
+                out.append(("complementary", (i, j)))
+    return out
+
+
+def ref_reduce_to_primitive(m: BasedMatrix, *, rng=None):
+    steps: list[ReductionStep] = []
+    current = m
+    while True:
+        candidates = ref_reduction_candidates(current)
+        if not candidates:
+            return current, tuple(steps)
+        if rng is None:
+            kind, indices = candidates[0]
+        else:
+            kind, indices = candidates[rng.randrange(len(candidates))]
+        steps.append(
+            ReductionStep(kind, tuple(current.elements[i] for i in indices))
+        )
+        current = ref_without(current, indices)
+
+
+def ref_bm_isomorphic(m1: BasedMatrix, m2: BasedMatrix) -> bool:
+    if m1.size != m2.size:
+        return False
+    k = m1.size
+    if k == 1:
+        return True
+
+    def key(m: BasedMatrix, i: int) -> tuple:
+        return (int(m.pairing[i, 0]), tuple(sorted(int(v) for v in m.pairing[i])))
+
+    keys1 = [key(m1, i) for i in range(1, k)]
+    keys2 = [key(m2, i) for i in range(1, k)]
+    if sorted(keys1) != sorted(keys2):
+        return False
+    if tuple(sorted(int(v) for v in m1.pairing[0])) != tuple(
+        sorted(int(v) for v in m2.pairing[0])
+    ):
+        return False
+    candidates = [
+        [j for j in range(1, k) if keys2[j - 1] == keys1[i - 1]] for i in range(1, k)
+    ]
+    p1, p2 = m1.pairing, m2.pairing
+    assigned: list[int] = []
+    used = [False] * k
+
+    def extend() -> bool:
+        i = len(assigned) + 1
+        if i == k:
+            return True
+        for j in candidates[i - 1]:
+            if used[j] or p1[i, 0] != p2[j, 0]:
+                continue
+            if all(
+                p1[i, prev_i] == p2[j, assigned[prev_i - 1]] for prev_i in range(1, i)
+            ):
+                assigned.append(j)
+                used[j] = True
+                if extend():
+                    return True
+                assigned.pop()
+                used[j] = False
+        return False
+
+    return extend()
+
+
+def ref_signature(m: BasedMatrix) -> tuple:
+    rows = []
+    for i in range(1, m.size):
+        row = m.pairing[i]
+        rows.append((int(row[0]), tuple(sorted(int(v) for v in row))))
+    return (m.size, tuple(sorted(int(v) for v in m.pairing[0])), tuple(sorted(rows)))
+
+
+def ref_cable_reduced_based_matrix(p: BasedMatrix, n: int) -> BasedMatrix:
+    base = p.elements[1:]
+    nv = {x: int(p.pairing[idx + 1, 0]) for idx, x in enumerate(base)}
+    taken = {SPECIAL}
+    copies: list[tuple[str, int, int]] = []
+    tags: list[str] = [SPECIAL]
+    for x in base:
+        for i in range(n):
+            for j in range(n):
+                tags.append(_unique_tags([f"{x}.{i}.{j}"], taken)[0])
+                copies.append((x, i, j))
+    joins = []
+    for kk in range(n - 1):
+        tags.append(_unique_tags([f"C.{kk}"], taken)[0])
+        joins.append(kk)
+    full = np.zeros((len(tags), len(tags)), dtype=np.int64)
+    nc = len(copies)
+    for a_idx, (x, i, j) in enumerate(copies):
+        full[1 + a_idx, 0] = n * nv[x]
+        for b_idx in range(a_idx + 1, nc):
+            y, kk, ll = copies[b_idx]
+            v = p.b(x, y) + ((ll - kk) % n) * nv[x] - ((j - i) % n) * nv[y]
+            full[1 + a_idx, 1 + b_idx] = v
+            full[1 + b_idx, 1 + a_idx] = -v
+        for c_idx, kk in enumerate(joins):
+            v = (n - 1 - kk) * nv[x]
+            full[1 + a_idx, 1 + nc + c_idx] = v
+            full[1 + nc + c_idx, 1 + a_idx] = -v
+    full[0, 1:] = -full[1:, 0]
+    return BasedMatrix(tuple(tags), full)
+
+
+def _composites() -> list[BasedMatrix]:
+    words = [w for w in canonical_population(2) if w.rank]
+    out = []
+    for a, b in itertools.product(words, repeat=2):
+        out.append(based_matrix(compose(a, b)))
+        out.append(
+            composite_based_matrix(
+                based_matrix(a), a.types(), based_matrix(b), b.types()
+            )
+        )
+    return out
+
+
+def _matrices() -> list[BasedMatrix]:
+    rank3 = canonical_population(3)
+    out = [based_matrix(w) for w in canonical_population(4)]
+    out += [based_matrix(cable(w, n)) for w in rank3 for n in (2, 3)]
+    out += [
+        cable_reduced_based_matrix(primitive_based_matrix(w), 2) for w in rank3
+    ]
+    out += _composites()
+    out += [based_matrix(w) for w in sample_nanowords((5, 6), 40, 13)]
+    return out
+
+
+MATRICES = _matrices()
+
+
+def _permuted(m: BasedMatrix, rng: random.Random) -> BasedMatrix:
+    perm = [0, *rng.sample(range(1, m.size), m.size - 1)]
+    return BasedMatrix(
+        tuple(m.elements[i] for i in perm), m.pairing[np.ix_(perm, perm)]
+    )
+
+
+def _assert_same_reduction(m: BasedMatrix, seeds=(0, 1, 2)) -> None:
+    assert reduce_to_primitive(m) == ref_reduce_to_primitive(m)
+    for s in seeds:
+        got = reduce_to_primitive(m, rng=random.Random(s))
+        assert got == ref_reduce_to_primitive(m, rng=random.Random(s))
+
+
+class TestReduction:
+    def test_population_cables_composites(self):
+        assert len(MATRICES) >= 400
+        for m in MATRICES:
+            _assert_same_reduction(m)
+
+    def test_many_seeds_on_cables(self):
+        for w in canonical_population(3):
+            if w.rank == 3:
+                _assert_same_reduction(based_matrix(cable(w, 2)), range(3, 13))
+
+    @given(nanowords(max_rank=6), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_hypothesis_words(self, w, seed):
+        _assert_same_reduction(based_matrix(w), (seed,))
+
+
+class TestIsomorphism:
+    def test_permuted_copies(self):
+        rng = random.Random(5)
+        for m in MATRICES:
+            for q in (m, *(reduce_to_primitive(m, rng=rng)[0] for _ in range(2))):
+                alt = _permuted(q, rng)
+                assert bm_isomorphic(q, alt)
+                assert ref_bm_isomorphic(q, alt)
+
+    def test_random_pairs(self):
+        rng = random.Random(6)
+        primitives = [reduce_to_primitive(m)[0] for m in MATRICES]
+        by_size: dict[int, list[BasedMatrix]] = {}
+        for q in primitives:
+            by_size.setdefault(q.size, []).append(q)
+        verdicts = set()
+        for _ in range(4000):
+            pool = by_size[rng.choice(sorted(by_size))]
+            a, b = rng.choice(pool), _permuted(rng.choice(pool), rng)
+            verdict = bm_isomorphic(a, b)
+            assert verdict == ref_bm_isomorphic(a, b)
+            verdicts.add(verdict)
+        for _ in range(2000):
+            a, b = rng.choice(primitives), rng.choice(primitives)
+            assert bm_isomorphic(a, b) == ref_bm_isomorphic(a, b)
+        assert verdicts == {True, False}
+
+    def test_signature(self):
+        for m in MATRICES:
+            assert m.signature() == ref_signature(m)
+
+
+class TestCableReducedReference:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_entrywise(self, n):
+        for w in canonical_population(3):
+            for m in (based_matrix(w), primitive_based_matrix(w)):
+                got = cable_reduced_based_matrix(m, n)
+                assert got == ref_cable_reduced_based_matrix(m, n)
