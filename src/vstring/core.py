@@ -26,6 +26,15 @@ three above)::
       H3b: xAByCAzCBt <-> xBAyACzBCt  (|A| = |B| != |C|)
       H3c: xAByACzCBt <-> xBAyCAzBCt  (|B| = |C| != |A|)
 
+The four H3-family patterns follow one rule.  Call the three swapped letter
+pairs P1, P2 and P3, in word order.  A is the letter in P1 and P2, B the one
+in P1 and P3, and C the one in P2 and P3.  A letter is *odd* when its type
+differs from the types of the other two.  A pair is read in reverse of
+(AB)(AC)(BC) exactly when the letter it lacks (C for P1, B for P2, A for P3)
+is odd; or else every pair is read the other way round, which is the mirror
+image the move itself produces.  The odd letter names the kind: none gives
+H3, B gives H3a, C gives H3b and A gives H3c.
+
 Here upper-case letters stand for single letters and x, y, z, t for arbitrary
 (possibly empty) subsequences.  All values in this module are immutable and
 all operations are pure functions.
@@ -385,61 +394,77 @@ class MoveSite:
         return "".join(parts)
 
 
-# H3-family pattern tables.  A site is three disjoint adjacent letter pairs
-# (u1 v1) .. (u2 v2) .. (u3 v3); each kind matches two mirror-image letter
-# patterns (applying the move swaps each pair in place, which maps one
-# pattern onto the other).  Each entry gives the equality structure and how
-# to read off the schema roles (A, B, C).
-# Pair slots are numbered u1=0 v1=1 u2=2 v2=3 u3=4 v3=5.
-_H3_PATTERNS: dict[MoveKind, tuple[tuple[tuple[tuple[int, int], ...], tuple[int, int, int]], ...]] = {
-    MoveKind.H3: (
-        (((0, 2), (1, 4), (3, 5)), (0, 1, 3)),   # (AB)(AC)(BC)
-        (((1, 3), (0, 5), (2, 4)), (1, 0, 2)),   # (BA)(CA)(CB)
-    ),
-    MoveKind.H3A: (
-        (((0, 3), (1, 4), (2, 5)), (0, 1, 2)),   # (AB)(CA)(BC)
-        (((1, 2), (0, 5), (3, 4)), (1, 0, 3)),   # (BA)(AC)(CB)
-    ),
-    MoveKind.H3B: (
-        (((0, 3), (1, 5), (2, 4)), (0, 1, 2)),   # (AB)(CA)(CB)
-        (((1, 2), (0, 4), (3, 5)), (1, 0, 3)),   # (BA)(AC)(BC)
-    ),
-    MoveKind.H3C: (
-        (((0, 2), (1, 5), (3, 4)), (0, 1, 3)),   # (AB)(AC)(CB)
-        (((1, 3), (0, 4), (2, 5)), (1, 0, 2)),   # (BA)(CA)(BC)
-    ),
+#: Number of disjoint adjacent letter pairs a letter-removing or H3-family
+#: site consists of.
+_PAIR_COUNT = {
+    MoveKind.H1_DOWN: 1,
+    MoveKind.H2_DOWN: 2,
+    MoveKind.H2A_DOWN: 2,
+    **{kind: 3 for kind in RANK_PRESERVING},
 }
 
 
-def _h3_type_ok(kind: MoveKind, ta: str, tb: str, tc: str) -> bool:
-    if kind is MoveKind.H3:
-        return ta == tb == tc
-    if kind is MoveKind.H3A:
-        return ta == tc != tb
-    if kind is MoveKind.H3B:
-        return ta == tb != tc
-    return tb == tc != ta  # H3c
+def _pair_positions(n: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Positions of m = 1, 2 or 3 disjoint adjacent letter pairs in a word of length n.
 
-
-def _h3_roles(alpha: Nanoword, kind: MoveKind, positions: Sequence[int]) -> tuple[str, str, str] | None:
-    """Schema roles (A, B, C) if the six positions match the kind, else None."""
-    w = alpha.word
-    slots = tuple(w[p] for p in positions)
-    for equalities, (ia, ib, ic) in _H3_PATTERNS[kind]:
-        if all(slots[i] == slots[j] for i, j in equalities):
-            a, b, c = slots[ia], slots[ib], slots[ic]
-            if len({a, b, c}) == 3 and _h3_type_ok(
-                kind, alpha.type_of(a), alpha.type_of(b), alpha.type_of(c)
-            ):
-                return a, b, c
-    return None
-
-
-def _adjacent_pair_triples(n: int) -> Iterator[tuple[int, int, int]]:
+    Pairs start at p < q < r with gaps of at least 2, in lexicographic order.
+    """
     for p in range(n - 1):
+        if m == 1:
+            yield p, p + 1
+            continue
         for q in range(p + 2, n - 1):
+            if m == 2:
+                yield p, p + 1, q, q + 1
+                continue
             for r in range(q + 2, n - 1):
-                yield p, q, r
+                yield p, p + 1, q, q + 1, r, r + 1
+
+
+def _h3_kind(alpha: Nanoword, positions: Sequence[int]) -> MoveKind | None:
+    """The H3-family kind whose pattern the three pairs at ``positions`` match.
+
+    See the module docstring for the rule.
+    """
+    w = alpha.word
+    x1, y1, x2, y2, x3, y3 = [w[i] for i in positions]
+    # A is the letter P1 and P2 share, B the rest of P1, C the rest of P2.
+    if x1 == x2 or x1 == y2:
+        a, b = x1, y1
+    elif y1 == x2 or y1 == y2:
+        a, b = y1, x1
+    else:
+        return None
+    c = y2 if x2 == a else x2
+    if {x3, y3} != {b, c}:
+        return None
+    ta, tb, tc = alpha._tmap[a], alpha._tmap[b], alpha._tmap[c]
+    if ta == tb == tc:
+        kind, odd = MoveKind.H3, None
+    elif tb == tc:
+        kind, odd = MoveKind.H3C, a
+    elif ta == tc:
+        kind, odd = MoveKind.H3A, b
+    else:
+        kind, odd = MoveKind.H3B, c
+    # Whether each pair reads reversed from (AB)(AC)(BC) must match whether
+    # the letter it lacks is odd, for all three pairs or for none.
+    agree = {(x1 != a) == (c == odd), (x2 != a) == (b == odd), (x3 != b) == (a == odd)}
+    return kind if len(agree) == 1 else None
+
+
+def _matches(alpha: Nanoword, kind: MoveKind, positions: Sequence[int]) -> bool:
+    """True iff the letter pairs at ``positions`` form a site of ``kind``."""
+    w = alpha.word
+    p = positions[0]
+    if kind is MoveKind.H1_DOWN:
+        return w[p] == w[p + 1]
+    if kind in (MoveKind.H2_DOWN, MoveKind.H2A_DOWN):
+        a, b = w[p], w[p + 1]
+        q = positions[2]
+        second = (b, a) if kind is MoveKind.H2_DOWN else (a, b)
+        return (w[q], w[q + 1]) == second and alpha._tmap[a] != alpha._tmap[b]
+    return _h3_kind(alpha, positions) is kind
 
 
 def find_sites(
@@ -450,74 +475,30 @@ def find_sites(
     Letter-adding directions enumerate insertion slots crossed with the two
     possible type choices; pass ``max_sites`` to cap the enumeration.
     """
-    w = alpha.word
-    n = len(w)
-    sites: list[MoveSite] = []
-
-    def done() -> bool:
-        return max_sites is not None and len(sites) >= max_sites
-
+    n = len(alpha.word)
+    sites: Iterable[MoveSite]
     if kind in (MoveKind.SHIFT, MoveKind.SHIFT_INV):
-        return [MoveSite(kind)] if n else []
-
-    if kind is MoveKind.H1_DOWN:
-        for p in range(n - 1):
-            if w[p] == w[p + 1]:
-                sites.append(MoveSite(kind, (p, p + 1)))
-                if done():
-                    break
-
-    elif kind is MoveKind.H2_DOWN:
-        for p in range(n - 1):
-            for q in range(p + 2, n - 1):
-                if (
-                    w[p] == w[q + 1]
-                    and w[p + 1] == w[q]
-                    and w[p] != w[p + 1]
-                    and alpha.type_of(w[p]) != alpha.type_of(w[p + 1])
-                ):
-                    sites.append(MoveSite(kind, (p, p + 1, q, q + 1)))
-                    if done():
-                        return sites
-
-    elif kind is MoveKind.H2A_DOWN:
-        for p in range(n - 1):
-            for q in range(p + 2, n - 1):
-                if (
-                    w[p] == w[q]
-                    and w[p + 1] == w[q + 1]
-                    and alpha.type_of(w[p]) != alpha.type_of(w[p + 1])
-                ):
-                    sites.append(MoveSite(kind, (p, p + 1, q, q + 1)))
-                    if done():
-                        return sites
-
+        sites = [MoveSite(kind)] if n else []
     elif kind is MoveKind.H1_UP:
-        for slot in range(n + 1):
-            for t in (TYPE_A, TYPE_B):
-                sites.append(MoveSite(kind, (slot,), types=(t,)))
-                if done():
-                    return sites
-
+        sites = (
+            MoveSite(kind, (slot,), types=(t,))
+            for slot in range(n + 1)
+            for t in (TYPE_A, TYPE_B)
+        )
     elif kind in (MoveKind.H2_UP, MoveKind.H2A_UP):
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                for ts in ((TYPE_A, TYPE_B), (TYPE_B, TYPE_A)):
-                    sites.append(MoveSite(kind, (i, j), types=ts))
-                    if done():
-                        return sites
-
-    elif kind in _H3_PATTERNS:
-        for p, q, r in _adjacent_pair_triples(n):
-            positions = (p, p + 1, q, q + 1, r, r + 1)
-            if _h3_roles(alpha, kind, positions) is not None:
-                sites.append(MoveSite(kind, positions))
-                if done():
-                    return sites
-
-    else:  # pragma: no cover - exhaustive enum
-        raise MoveError(f"unknown move kind {kind}")
-    return sites
+        sites = (
+            MoveSite(kind, (i, j), types=ts)
+            for i in range(n + 1)
+            for j in range(i, n + 1)
+            for ts in ((TYPE_A, TYPE_B), (TYPE_B, TYPE_A))
+        )
+    else:
+        sites = (
+            MoveSite(kind, positions)
+            for positions in _pair_positions(n, _PAIR_COUNT[kind])
+            if _matches(alpha, kind, positions)
+        )
+    return list(itertools.islice(sites, max_sites))
 
 
 def _pick_fresh(alpha: Nanoword, site: MoveSite, count: int) -> tuple[str, ...]:
@@ -546,28 +527,26 @@ def apply_move(alpha: Nanoword, site: MoveSite) -> Nanoword:
     if kind is MoveKind.SHIFT_INV:
         return shift_inv(alpha)
 
-    if kind is MoveKind.H1_DOWN:
-        (p, p1) = _check_positions(site, n, 2)
-        if p1 != p + 1 or w[p] != w[p + 1]:
-            raise MoveError(f"no H1 pair at {site.positions}")
-        tmap = alpha.types()
-        del tmap[w[p]]
-        return Nanoword(w[:p] + w[p + 2 :], tmap)
-
-    if kind in (MoveKind.H2_DOWN, MoveKind.H2A_DOWN):
-        p, p1, q, q1 = _check_positions(site, n, 4)
-        if p1 != p + 1 or q1 != q + 1 or q < p + 2:
-            raise MoveError(f"bad pair positions {site.positions}")
-        if kind is MoveKind.H2_DOWN:
-            ok = w[p] == w[q + 1] and w[p + 1] == w[q] and w[p] != w[p + 1]
-        else:
-            ok = w[p] == w[q] and w[p + 1] == w[q + 1]
-        if not ok or alpha.type_of(w[p]) == alpha.type_of(w[p + 1]):
+    if kind in _PAIR_COUNT:
+        positions = _check_positions(site, n, 2 * _PAIR_COUNT[kind])
+        starts = positions[::2]
+        previous = -2
+        for s, e in zip(starts, positions[1::2]):
+            if e != s + 1 or s < previous + 2:
+                raise MoveError(f"bad pair positions {site.positions}")
+            previous = s
+        if not _matches(alpha, kind, positions):
             raise MoveError(f"no {kind.value} pattern at {site.positions}")
-        drop = {w[p], w[p + 1]}
-        tmap = {k: v for k, v in alpha.types().items() if k not in drop}
-        keep = [x for i, x in enumerate(w) if i not in (p, p + 1, q, q + 1)]
-        return Nanoword(keep, tmap)
+        if kind in RANK_PRESERVING:
+            chars = list(w)
+            for s in starts:
+                chars[s], chars[s + 1] = chars[s + 1], chars[s]
+            return Nanoword(chars, alpha._tmap)
+        dropped = {w[i] for i in positions}
+        return Nanoword(
+            [x for x in w if x not in dropped],
+            {x: t for x, t in alpha._tmap.items() if x not in dropped},
+        )
 
     if kind is MoveKind.H1_UP:
         (slot,) = _check_positions(site, n + 1, 1)
@@ -589,18 +568,6 @@ def apply_move(alpha: Nanoword, site: MoveSite) -> Nanoword:
         tmap = alpha.types()
         tmap[a], tmap[b] = ta, tb
         return Nanoword(w[:i] + (a, b) + w[i:j] + second + w[j:], tmap)
-
-    if kind in _H3_PATTERNS:
-        positions = _check_positions(site, n, 6)
-        p, p1, q, q1, r, r1 = positions
-        if (p1, q1, r1) != (p + 1, q + 1, r + 1) or q < p + 2 or r < q + 2:
-            raise MoveError(f"bad pair positions {site.positions}")
-        if _h3_roles(alpha, kind, positions) is None:
-            raise MoveError(f"no {kind.value} pattern at {site.positions}")
-        chars = list(w)
-        for start in (p, q, r):
-            chars[start], chars[start + 1] = chars[start + 1], chars[start]
-        return Nanoword(chars, alpha.types())
 
     raise MoveError(f"unknown move kind {kind}")  # pragma: no cover
 
@@ -655,35 +622,30 @@ def invert_steps(start: Nanoword, steps: Sequence[MoveSite]) -> list[MoveSite]:
     return inverted
 
 
+#: Each letter-removing kind and shift with its inverse, in both directions;
+#: every H3-family move is its own inverse.
+_INVERSE_KIND = {
+    MoveKind.SHIFT: MoveKind.SHIFT_INV,
+    MoveKind.H1_DOWN: MoveKind.H1_UP,
+    MoveKind.H2_DOWN: MoveKind.H2_UP,
+    MoveKind.H2A_DOWN: MoveKind.H2A_UP,
+}
+_INVERSE_KIND.update({up: down for down, up in _INVERSE_KIND.items()})
+
+
 def _invert_one(before: Nanoword, site: MoveSite) -> MoveSite:
     kind = site.kind
-    w = before.word
-    if kind is MoveKind.SHIFT:
-        return MoveSite(MoveKind.SHIFT_INV)
-    if kind is MoveKind.SHIFT_INV:
-        return MoveSite(MoveKind.SHIFT)
-    if kind is MoveKind.H1_DOWN:
-        p = site.positions[0]
-        name = w[p]
-        return MoveSite(
-            MoveKind.H1_UP, (p,), letters=(name,), types=(before.type_of(name),)
-        )
-    if kind is MoveKind.H1_UP:
-        return MoveSite(MoveKind.H1_DOWN, (site.positions[0], site.positions[0] + 1))
-    if kind in (MoveKind.H2_DOWN, MoveKind.H2A_DOWN):
-        p, _, q, _ = site.positions
-        a, b = w[p], w[p + 1]
-        up = MoveKind.H2_UP if kind is MoveKind.H2_DOWN else MoveKind.H2A_UP
-        return MoveSite(
-            up, (p, q - 2), letters=(a, b), types=(before.type_of(a), before.type_of(b))
-        )
-    if kind in (MoveKind.H2_UP, MoveKind.H2A_UP):
-        i, j = site.positions
-        down = MoveKind.H2_DOWN if kind is MoveKind.H2_UP else MoveKind.H2A_DOWN
-        return MoveSite(down, (i, i + 1, j + 2, j + 3))
-    if kind in _H3_PATTERNS:
-        return MoveSite(kind, site.positions)
-    raise MoveError(f"unknown move kind {kind}")  # pragma: no cover
+    inverse = _INVERSE_KIND.get(kind, kind)
+    if kind in RANK_DECREASING:
+        # Pair k starts 2k places later in the word than its insertion slot.
+        letters = tuple(dict.fromkeys(before.word[i] for i in site.positions))
+        slots = tuple(s - 2 * k for k, s in enumerate(site.positions[::2]))
+        types = tuple(before.type_of(x) for x in letters)
+        return MoveSite(inverse, slots, letters=letters, types=types)
+    if kind in RANK_INCREASING:
+        positions = (s + 2 * k + d for k, s in enumerate(site.positions) for d in (0, 1))
+        return MoveSite(inverse, tuple(positions))
+    return MoveSite(inverse, site.positions)
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,11 @@ def canonical_population(max_rank: int) -> list[Nanoword]:
     """All shift-orbit canonical nanowords of rank <= max_rank, sorted by text.
 
     Includes the empty word.  Deduplication is by the shift-orbit canonical
-    form only (words homotopic through H-moves stay distinct).
+    form only (words homotopic through H-moves stay distinct).  A negative
+    ``max_rank`` raises ValueError.
     """
+    if max_rank < 0:
+        raise ValueError(f"max rank {max_rank} is negative")
     seen: dict[str, Nanoword] = {"0": EMPTY}
     for rank in range(1, max_rank + 1):
         for w in all_nanowords(rank):

@@ -279,23 +279,20 @@ def equivalent_bounded(
     fa = _Frontier(alpha, budget, moves)
     fb = _Frontier(beta, budget, moves)
 
-    def meet() -> str | None:
-        common = fa.nodes.keys() & fb.nodes.keys()
-        return min(common) if common else None
-
-    key = meet()
-    while key is None:
+    common = [k for k in fa.nodes if k in fb.nodes]
+    while not common:
         progressed = False
         for mine, other in ((fa, fb), (fb, fa)):
             if mine.exhausted():
                 continue
-            new_keys = mine.expand_one(len(other.nodes))
             progressed = True
-            if any(k in other.nodes for k in new_keys):
+            # No state was shared before this expansion, so a shared one is new.
+            common = [k for k in mine.expand_one(len(other.nodes)) if k in other.nodes]
+            if common:
                 break
-        key = meet()
-        if key is None and not progressed:
+        if not progressed:
             return EquivalenceResult("unknown", report=report)
+    key = min(common)
 
     trace = _join_traces(
         alpha,

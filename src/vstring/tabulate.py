@@ -68,18 +68,10 @@ def record_to_json(record: TabulationRecord) -> str:
     payload = {
         "canonical": record.canonical,
         "rank": record.rank,
-        "u": [[k, c] for k, c in record.u],
+        "u": record.u,
         "rho": record.rho,
-        "pbm_signature": _sig_to_json(record.pbm_signature),
+        "pbm_signature": record.pbm_signature,
         "covers": {str(r): text for r, text in record.covers},
     }
     return json.dumps(payload, sort_keys=True)
 
-
-def _sig_to_json(sig) -> list:
-    def conv(x):
-        if isinstance(x, tuple):
-            return [conv(v) for v in x]
-        return x
-
-    return conv(sig)

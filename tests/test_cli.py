@@ -225,3 +225,18 @@ class TestSizeGuards:
         code, _, err = run(capsys, "rdot", "AA|a", "-r", str(cli.MAX_WORD_RANK + 1))
         assert code == 1
         assert "r-dot rank 10001 exceeds the limit 10000" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tabulate", "--max-rank", "-1", "--out", "t.jsonl"),
+            ("graph", "--max-rank", "-2", "-r", "2", "--dot", "g.dot"),
+            ("verify", "structural", "--max-rank", "-1"),
+        ],
+    )
+    def test_negative_rank_rejected(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "is negative" in err
+        assert out == "" and not any(tmp_path.iterdir())

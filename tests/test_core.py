@@ -162,6 +162,11 @@ class TestFindSites:
         full = find_sites(w, MoveKind.H1_UP)
         assert len(full) == 2 * (len(w.word) + 1)
 
+    def test_zero_cap_gives_no_sites(self):
+        w = parse("AABB|ab")
+        for kind in MoveKind:
+            assert find_sites(w, kind, max_sites=0) == []
+
     def test_shift_sites(self):
         assert find_sites(parse("AA|a"), MoveKind.SHIFT) == [MoveSite(MoveKind.SHIFT)]
         assert find_sites(EMPTY, MoveKind.SHIFT) == []
