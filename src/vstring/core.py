@@ -43,6 +43,7 @@ all operations are pure functions.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -95,43 +96,71 @@ def _other(t: str) -> str:
     return TYPE_B if t == TYPE_A else TYPE_A
 
 
+def _check_name(name: object) -> None:
+    if not isinstance(name, str) or not _NAME_RE.match(name):
+        raise NanowordError(f"invalid letter name {name!r}")
+
+
+def _occurrences(word: tuple[str, ...]) -> dict[str, tuple[int, int]]:
+    """The two positions of each letter of a word known to be a Gauss word."""
+    first: dict[str, int] = {}
+    occ: dict[str, tuple[int, int]] = {}
+    for i, name in enumerate(word):
+        if name in first:
+            occ[name] = (first[name], i)
+        else:
+            first[name] = i
+    return occ
+
+
 class Nanoword:
     """An immutable Gauss word plus letter-type assignment.
 
     ``word`` is the tuple of letter names in traversal order; every name
     occurring in it occurs exactly twice.  ``rank`` is the number of distinct
     letters, i.e. half the word length.
+
+    Validation happens at the public boundary only: ``parse`` and this
+    constructor check every name, the Gauss condition and the types.  The
+    rewrites of this module (moves, shifts, relabellings) keep a valid word
+    valid, and build their results with ``_trusted=True``, which skips the
+    checks; they pass a tuple and a dict that nothing changes afterwards.
     """
 
     __slots__ = ("word", "_tmap", "_letters", "_occ", "_hash", "_canon")
 
-    def __init__(self, word: Iterable[str], types: Mapping[str, str]):
-        word = tuple(word)
-        occ: dict[str, list[int]] = {}
-        for i, name in enumerate(word):
-            if not isinstance(name, str) or not _NAME_RE.match(name):
-                raise NanowordError(f"invalid letter name {name!r}")
-            occ.setdefault(name, []).append(i)
-        for name, positions in occ.items():
-            if len(positions) != 2:
+    def __init__(
+        self, word: Iterable[str], types: Mapping[str, str], *, _trusted: bool = False
+    ):
+        if _trusted:
+            tmap, occ = types, _occurrences(word)
+        else:
+            word = tuple(word)
+            positions: dict[str, list[int]] = {}
+            for i, name in enumerate(word):
+                _check_name(name)
+                positions.setdefault(name, []).append(i)
+            for name, where in positions.items():
+                if len(where) != 2:
+                    raise NanowordError(
+                        f"letter {name} occurs {len(where)} time(s), expected 2"
+                    )
+            tmap = dict(types)
+            if set(tmap) != set(positions):
+                missing = set(positions) - set(tmap)
+                extra = set(tmap) - set(positions)
                 raise NanowordError(
-                    f"letter {name} occurs {len(positions)} time(s), expected 2"
+                    f"type assignment does not match letters (missing={sorted(missing)},"
+                    f" extra={sorted(extra)})"
                 )
-        tmap = dict(types)
-        if set(tmap) != set(occ):
-            missing = set(occ) - set(tmap)
-            extra = set(tmap) - set(occ)
-            raise NanowordError(
-                f"type assignment does not match letters (missing={sorted(missing)},"
-                f" extra={sorted(extra)})"
-            )
-        for name, t in tmap.items():
-            if t not in (TYPE_A, TYPE_B):
-                raise NanowordError(f"invalid type {t!r} for letter {name}")
+            for name, t in tmap.items():
+                if t not in (TYPE_A, TYPE_B):
+                    raise NanowordError(f"invalid type {t!r} for letter {name}")
+            occ = {name: (p[0], p[1]) for name, p in positions.items()}
         self.word = word
         self._tmap = tmap
-        self._letters = tuple(sorted(occ))
-        self._occ = {name: (p[0], p[1]) for name, p in occ.items()}
+        self._letters = tuple(sorted(tmap))
+        self._occ = occ
         self._hash: int | None = None
         self._canon: tuple[str, int] | None = None
 
@@ -226,15 +255,21 @@ def _canonical_name(i: int) -> str:
     return f"{chr(65 + i % 26)}.{i // 26}"
 
 
+@functools.lru_cache(maxsize=32)
+def _canonical_names(rank: int) -> tuple[str, ...]:
+    """The names of a canonically relabelled rank-``rank`` word, in order."""
+    return tuple(_canonical_name(i) for i in range(rank))
+
+
 def _text(word: tuple[str, ...], tmap: Mapping[str, str]) -> str:
     """The printed form of a word and its types (see ``Nanoword.text``)."""
     if not word:
         return "0"
     letters = sorted(tmap)
-    if all(len(name) == 1 for name in letters):
-        return "".join(word) + "|" + "".join(tmap[name] for name in letters)
+    if len("".join(letters)) == len(letters):  # every name is one letter
+        return "".join(word) + "|" + "".join([tmap[name] for name in letters])
     tokens = " ".join(word)
-    binds = " ".join(f"{name}={tmap[name]}" for name in letters)
+    binds = " ".join([f"{name}={tmap[name]}" for name in letters])
     return f"{tokens} | {binds}"
 
 
@@ -245,13 +280,13 @@ def _relabelled_shift(alpha: Nanoword, k: int) -> tuple[tuple[str, ...], dict[st
     carried past the base point but whose second is not has its type flipped.
     """
     rotated = alpha.word[k:] + alpha.word[:k]
-    names = {old: _canonical_name(i) for i, old in enumerate(dict.fromkeys(rotated))}
+    names = dict(zip(dict.fromkeys(rotated), _canonical_names(alpha.rank)))
     types: dict[str, str] = {}
     for old, new in names.items():
         first, second = alpha._occ[old]
         t = alpha._tmap[old]
         types[new] = _other(t) if first < k <= second else t
-    return tuple(names[x] for x in rotated), types
+    return tuple([names[x] for x in rotated]), types
 
 
 def canonical_relabel(alpha: Nanoword) -> Nanoword:
@@ -259,7 +294,7 @@ def canonical_relabel(alpha: Nanoword) -> Nanoword:
 
     Idempotent, and the result is isomorphic to the input.
     """
-    return Nanoword(*_relabelled_shift(alpha, 0))
+    return Nanoword(*_relabelled_shift(alpha, 0), _trusted=True)
 
 
 def isomorphic(alpha: Nanoword, beta: Nanoword) -> bool:
@@ -274,7 +309,7 @@ def shift(alpha: Nanoword) -> Nanoword:
     moved = alpha.word[0]
     tmap = alpha.types()
     tmap[moved] = _other(tmap[moved])
-    return Nanoword(alpha.word[1:] + (moved,), tmap)
+    return Nanoword(alpha.word[1:] + (moved,), tmap, _trusted=True)
 
 
 def shift_inv(alpha: Nanoword) -> Nanoword:
@@ -284,7 +319,7 @@ def shift_inv(alpha: Nanoword) -> Nanoword:
     moved = alpha.word[-1]
     tmap = alpha.types()
     tmap[moved] = _other(tmap[moved])
-    return Nanoword((moved,) + alpha.word[:-1], tmap)
+    return Nanoword((moved,) + alpha.word[:-1], tmap, _trusted=True)
 
 
 def shift_orbit(alpha: Nanoword) -> list[Nanoword]:
@@ -301,13 +336,65 @@ def shift_orbit(alpha: Nanoword) -> list[Nanoword]:
     return orbit
 
 
+@functools.lru_cache(maxsize=32)
+def _name_ranks(rank: int) -> tuple[int, ...]:
+    """Sort position of canonical name i among the names of a rank-``rank`` word.
+
+    The identity up to Z; past it, string order puts A.1 and A.10 before A.2
+    and B, which is the order in which printed forms compare.
+    """
+    names = _canonical_names(rank)
+    position = {name: i for i, name in enumerate(sorted(names))}
+    return tuple([position[name] for name in names])
+
+
+def _sorted_types(alpha: Nanoword, k: int) -> list[str]:
+    """Types of the canonical relabelling of ``shift^k(alpha)``, in name order."""
+    types = _relabelled_shift(alpha, k)[1]
+    return [types[name] for name in sorted(types)]
+
+
 def _shift_canonical_key(alpha: Nanoword) -> tuple[str, int]:
-    """(canonical text, least k reaching it), computed once per word."""
+    """(canonical text, least k reaching it), computed once per word.
+
+    Rotation k is ``word[k:] + word[:k]`` renamed in first-occurrence order,
+    with each name replaced by its sort position (``_name_ranks``), so the
+    rotations compare as integer sequences in the order of their printed
+    words.  All rotations are read together, position by position, and each
+    is dropped at its first element above the least one there.  The
+    rotations left share their labels so far, so a letter at position j
+    takes the next unused label when it is new to the rotation, and
+    otherwise the label at ``j - back``, where ``back`` is the cyclic
+    distance back to the other occurrence of that letter.  Rotations equal
+    in the word are compared by their types in name order, and the least k
+    wins a full tie.  Only the winner is printed.
+    """
     if alpha._canon is None:
-        alpha._canon = min(
-            (_text(*_relabelled_shift(alpha, k)), k)
-            for k in range(len(alpha.word) or 1)
-        )
+        n = len(alpha.word)
+        back = [0] * n
+        for first, second in alpha._occ.values():
+            back[first] = n - second + first
+            back[second] = second - first
+        back += back
+        ranks = _name_ranks(n // 2)
+        labels = list(ranks[:1])  # every rotation starts with a new letter
+        fresh = len(labels)
+        candidates = list(range(n)) or [0]
+        for j in range(1, n):
+            # Once every letter has occurred, no rotation has a new one.
+            new = ranks[fresh] if fresh < len(ranks) else None
+            distances = [back[k + j] for k in candidates]
+            step = [labels[j - d] if d <= j else new for d in distances]
+            least = min(step)
+            candidates = [k for k, label in zip(candidates, step) if label == least]
+            if len(candidates) == 1:
+                break
+            labels.append(least)
+            fresh += least == new
+        best_k = candidates[0]
+        if len(candidates) > 1:
+            best_k = min(candidates, key=lambda k: _sorted_types(alpha, k))
+        alpha._canon = (_text(*_relabelled_shift(alpha, best_k)), best_k)
     return alpha._canon
 
 
@@ -322,7 +409,7 @@ def shift_canonical(alpha: Nanoword) -> Nanoword:
     text, k = _shift_canonical_key(alpha)
     if alpha.text() == text:
         return alpha
-    canon = Nanoword(*_relabelled_shift(alpha, k))
+    canon = Nanoword(*_relabelled_shift(alpha, k), _trusted=True)
     canon._canon = (text, 0)
     return canon
 
@@ -502,21 +589,33 @@ def find_sites(
 
 
 def _pick_fresh(alpha: Nanoword, site: MoveSite, count: int) -> tuple[str, ...]:
-    if site.letters:
-        if len(site.letters) != count:
-            raise MoveError(f"{site.kind.value} needs {count} letter name(s)")
-        for name in site.letters:
-            if name in alpha._tmap:
-                raise MoveError(f"letter {name} already occurs in the word")
-        return site.letters
-    return tuple(fresh_names(alpha.letters, count))
+    """Names of the letters a letter-adding move introduces.
+
+    Names given in ``site`` are the only outside input to a rewrite, so they
+    are checked here as the constructor would check the rewritten word.
+    """
+    if not site.letters:
+        return tuple(fresh_names(alpha.letters, count))
+    if len(site.letters) != count:
+        raise MoveError(f"{site.kind.value} needs {count} letter name(s)")
+    for name in site.letters:
+        if name in alpha._tmap:
+            raise MoveError(f"letter {name} already occurs in the word")
+    for name in site.letters:
+        _check_name(name)
+    if len(set(site.letters)) != count:
+        # Both inserted pairs would carry the same letter.
+        raise NanowordError(f"letter {site.letters[0]} occurs 4 time(s), expected 2")
+    return site.letters
 
 
 def apply_move(alpha: Nanoword, site: MoveSite) -> Nanoword:
     """Apply ``site`` to ``alpha``; raises MoveError if the site is invalid.
 
-    The Gauss condition is re-established by construction (the Nanoword
-    constructor validates every rewrite).
+    The rewrite keeps the Gauss condition by construction, so the result is
+    built without the constructor's checks.  The site is checked instead:
+    its positions and types here, and the names of new letters, the only
+    outside input, in ``_pick_fresh`` (invalid names raise NanowordError).
     """
     w = alpha.word
     n = len(w)
@@ -541,11 +640,12 @@ def apply_move(alpha: Nanoword, site: MoveSite) -> Nanoword:
             chars = list(w)
             for s in starts:
                 chars[s], chars[s + 1] = chars[s + 1], chars[s]
-            return Nanoword(chars, alpha._tmap)
+            return Nanoword(tuple(chars), alpha._tmap, _trusted=True)
         dropped = {w[i] for i in positions}
         return Nanoword(
-            [x for x in w if x not in dropped],
+            tuple(x for x in w if x not in dropped),
             {x: t for x, t in alpha._tmap.items() if x not in dropped},
+            _trusted=True,
         )
 
     if kind is MoveKind.H1_UP:
@@ -554,7 +654,7 @@ def apply_move(alpha: Nanoword, site: MoveSite) -> Nanoword:
         (name,) = _pick_fresh(alpha, site, 1)
         tmap = alpha.types()
         tmap[name] = t
-        return Nanoword(w[:slot] + (name, name) + w[slot:], tmap)
+        return Nanoword(w[:slot] + (name, name) + w[slot:], tmap, _trusted=True)
 
     if kind in (MoveKind.H2_UP, MoveKind.H2A_UP):
         i, j = _check_positions(site, n + 1, 2)
@@ -567,7 +667,7 @@ def apply_move(alpha: Nanoword, site: MoveSite) -> Nanoword:
         second = (b, a) if kind is MoveKind.H2_UP else (a, b)
         tmap = alpha.types()
         tmap[a], tmap[b] = ta, tb
-        return Nanoword(w[:i] + (a, b) + w[i:j] + second + w[j:], tmap)
+        return Nanoword(w[:i] + (a, b) + w[i:j] + second + w[j:], tmap, _trusted=True)
 
     raise MoveError(f"unknown move kind {kind}")  # pragma: no cover
 

@@ -1,15 +1,23 @@
 """Differential tests of shift canonicalisation and name allocation.
 
-The reference functions below are the straightforward forms: they build every
-word of the shift orbit, relabel each one, and compare printed forms.  The
-library computes the same key in one pass over rotations of the letter tuple.
+The reference functions below are the straightforward forms.  One builds
+every word of the shift orbit, relabels each one and compares printed forms;
+the other prints the relabelling of every rotation of the letter tuple and
+takes the least (text, k).  The library finds the least rotation on integer
+labels, drops each rotation at its first larger label, and prints only the
+winner.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vstring.core import (
     Nanoword,
+    _relabelled_shift,
+    _shift_canonical_key,
+    _text,
     canonical_relabel,
     continuation_names,
     parse,
@@ -57,6 +65,12 @@ def ref_shifts_to_canonical(alpha: Nanoword) -> int:
     return k
 
 
+def ref_rotation_text_min(alpha: Nanoword) -> tuple[str, int]:
+    return min(
+        (_text(*_relabelled_shift(alpha, k)), k) for k in range(len(alpha.word) or 1)
+    )
+
+
 def ref_continuation_names(used, count: int) -> list[str]:
     taken = set(used)
     singles = [ord(u) for u in taken if len(u) == 1]
@@ -83,12 +97,35 @@ def assert_matches_reference(w: Nanoword) -> None:
     assert shift_canonical(w) == expected
     assert shifts_to_canonical(w) == ref_shifts_to_canonical(w)
     assert canonical_relabel(w) == ref_canonical_relabel(w)
+    fresh = Nanoword(w.word, w.types())  # no memoised key
+    assert _shift_canonical_key(fresh) == ref_rotation_text_min(w)
 
 
 @pytest.mark.parametrize("rank", range(5))
 def test_every_raw_word_up_to_rank_4(rank):
     for w in all_nanowords(rank):
         assert_matches_reference(w)
+
+
+def half_turn_word(rank: int, seed: int, swap: int) -> Nanoword:
+    """A word whose least rotation is decided by name order past A.10.
+
+    The letters at 0, 1 and at ``rank``, ``rank + 1`` are H1 pairs, so the two
+    rotations starting there lead; every other letter joins a random position
+    of the first half to the second half, in pairs that a half turn maps onto
+    each other.  Those two rotations then read alike until the letters at
+    ``swap`` and ``swap + 1``, which are exchanged.
+    """
+    inner = list(range(2, rank))
+    random.Random(seed).shuffle(inner)
+    chords = [(0, 1), (rank, rank + 1)]
+    for i, j in zip(inner[::2], inner[1::2]):
+        chords += [(i, j + rank), (j, i + rank)]
+    slots = [""] * (2 * rank)
+    for i, (a, b) in enumerate(chords):
+        slots[a] = slots[b] = _ref_canonical_name(i)
+    slots[swap], slots[swap + 1] = slots[swap + 1], slots[swap]
+    return Nanoword(slots, {name: "a" for name in slots})
 
 
 _NAMES = [chr(65 + i) for i in range(26)] + ["X.1", "A.2", "B.1", "Q_3", "C.10", "Z.0"]
@@ -111,12 +148,19 @@ def test_extended_names(w):
 
 @pytest.mark.parametrize(
     "word",
-    [cable(parse("ABCACB|aaa"), 3), r_dot(parse("ABCACB|aba"), 9)],
-    ids=["cable3", "rdot9"],
+    [
+        cable(parse("ABCACB|aaa"), 3),
+        r_dot(parse("ABCACB|aba"), 9),
+        r_dot(parse("ABCACB|aba"), 90),
+        # The two leading rotations first differ in reading I.10 and I.8.
+        half_turn_word(270, 3, 424),
+    ],
+    ids=["cable3", "rdot9", "rdot90", "half-turn"],
 )
 def test_canonical_names_past_z(word):
     # Past Z, lexicographic order of the names (A, A.1, B, ...) differs from
     # first-occurrence order, so the type bindings print in another order.
+    # From rank 261 on, that order also puts A.10 before A.2.
     assert word.rank > 26
     assert_matches_reference(word)
     assert_matches_reference(shift(shift(shift(word))))

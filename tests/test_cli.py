@@ -203,6 +203,7 @@ class TestSizeGuards:
                 ("graph", "--max-rank", "7", "-r", "2", "--dot", "g.dot"),
                 "canonical_population",
             ),
+            (("verify", "structural", "--max-rank", "7"), "run_suite"),
         ],
     )
     def test_rejected_before_building(

@@ -216,7 +216,7 @@ class TestApplyMove:
         kinds = [k for k in MoveKind if find_sites(w, k, max_sites=8)]
         kind = data.draw(st.sampled_from(kinds))
         site = data.draw(st.sampled_from(find_sites(w, kind, max_sites=8)))
-        moved = apply_move(w, site)  # Nanoword constructor enforces the condition
+        moved = apply_move(w, site)  # built unchecked, so the condition is checked here
         assert all(moved.word.count(x) == 2 for x in moved.letters)
 
     @given(nanowords(max_rank=3, min_rank=1), st.data())
@@ -228,6 +228,55 @@ class TestApplyMove:
         moved = apply_move(w, site)
         (back,) = invert_steps(w, [site])
         assert apply_move(moved, back) == w
+
+
+_NAMES = [chr(65 + i) for i in range(26)] + ["X.1", "A.2", "B.1", "Q_3", "C.10"]
+
+
+@st.composite
+def named_nanowords(draw, max_rank=5):
+    rank = draw(st.integers(0, max_rank))
+    names = draw(st.lists(st.sampled_from(_NAMES), min_size=rank, max_size=rank, unique=True))
+    seq = draw(st.permutations([i // 2 for i in range(2 * rank)]))
+    types = {name: draw(st.sampled_from("ab")) for name in names}
+    return Nanoword((names[i] for i in seq), types)
+
+
+def assert_same_as_validated(w):
+    """``w`` equals the word the checking constructor builds from its parts."""
+    ref = Nanoword(w.word, w.types())
+    assert w.letters == ref.letters
+    assert all(w.occurrences(x) == ref.occurrences(x) for x in ref.letters)
+    assert w.types() == ref.types()
+    assert w.text() == ref.text()
+    assert hash(w) == hash(ref)
+
+
+class TestTrustedConstruction:
+    """Rewrites build their results without the constructor's checks."""
+
+    @given(named_nanowords())
+    @settings(max_examples=100, deadline=None)
+    def test_rewrites_equal_validated_words(self, w):
+        for f in (shift, shift_inv, canonical_relabel, shift_canonical):
+            assert_same_as_validated(f(w))
+        for kind in MoveKind:
+            for site in find_sites(w, kind, max_sites=6):
+                assert_same_as_validated(apply_move(w, site))
+
+    @pytest.mark.parametrize(
+        "kind,slots,types,letters,message",
+        [
+            (MoveKind.H1_UP, (0,), ("a",), ("x",), "invalid letter name 'x'"),
+            (MoveKind.H1_UP, (0,), ("a",), (3,), "invalid letter name 3"),
+            (MoveKind.H1_UP, (0,), ("a",), ("",), "invalid letter name ''"),
+            (MoveKind.H2_UP, (0, 1), ("a", "b"), ("C", "C"), "letter C occurs 4 time"),
+        ],
+    )
+    def test_bad_new_letter_names_rejected(self, kind, slots, types, letters, message):
+        site = MoveSite(kind, slots, letters=letters, types=types)
+        with pytest.raises(NanowordError, match=message):
+            apply_move(parse("ABAB|ab"), site)
 
 
 class TestTraces:
