@@ -11,8 +11,8 @@ usage or input errors, 2 when a verification suite fails.  The environment
 variable ``VSTRING_BUDGET`` ("rank_increase,max_states,max_depth") overrides
 the default search budget.  Requests whose size would explode are rejected
 with exit code 1 before any work: ``cable``, ``rdot`` and ``gen`` results
-above rank ``MAX_WORD_RANK``, and ``tabulate``, ``graph`` and ``verify``
-above ``--max-rank MAX_TABULATE_RANK``.
+above rank ``MAX_WORD_RANK``, and ``--max-rank`` above ``MAX_TABULATE_RANK``
+(``tabulate``, ``graph``) or ``MAX_VERIFY_RANK`` (``verify``).
 """
 
 from __future__ import annotations
@@ -38,9 +38,11 @@ __all__ = ["main", "build_parser"]
 
 #: Largest rank of a word that ``cable``, ``rdot`` and ``gen`` will build.
 MAX_WORD_RANK = 10_000
-#: Largest ``--max-rank`` that ``tabulate``, ``graph`` and ``verify`` will
-#: enumerate; the raw word count grows factorially with the rank.
+#: Largest ``--max-rank`` that ``tabulate`` and ``graph`` will enumerate;
+#: the raw word count grows factorially with the rank.
 MAX_TABULATE_RANK = 6
+#: Largest ``--max-rank`` of ``verify``, whose suites do far more per word.
+MAX_VERIFY_RANK = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,7 +167,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_size("--max-rank", args.max_rank, MAX_TABULATE_RANK)
+    _check_size("--max-rank", args.max_rank, MAX_VERIFY_RANK)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     failed = 0
     for name in names:

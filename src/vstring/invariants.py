@@ -5,6 +5,11 @@ and tail matrices, the based matrix and its reduction to a primitive based
 matrix, the element-count invariant rho, based-matrix isomorphism, and the
 block formulas for based matrices of composites and cables.
 
+All of them read one table of each letter's two positions and its arrow,
+which runs from the first occurrence to the second for type a and back for
+type b.  n(X) is the arrow tails minus the arrow heads strictly between the
+two occurrences of X, negated for type b.
+
 The based matrix of a word is a triple ``(G, s, b)``: a finite element set G
 with a special element s and a skew-symmetric integer pairing b.  For a word,
 G is the letter set plus s, ``b(g, s) = n(g)``, and the letter-letter block
@@ -19,6 +24,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -105,9 +111,6 @@ class UPolynomial:
     def derivative_at_one(self) -> int:
         return sum(k * c for k, c in self.coeffs)
 
-    def degree(self) -> int:
-        return self.coeffs[-1][0] if self.coeffs else 0
-
     def cable_transform(self, n: int) -> "UPolynomial":
         """n^2 * u(t^n): what the u-polynomial becomes under an n-cabling."""
         return UPolynomial.from_dict({n * k: n * n * c for k, c in self.coeffs})
@@ -158,20 +161,35 @@ def linking_number(alpha: Nanoword, a: str, b: str) -> int:
     return -1 if same else 1
 
 
+def _arrows(alpha: Nanoword) -> list[tuple[int, int, bool, int, int]]:
+    """(first, second, is_b, tail, head) of each letter, in name order."""
+    out = []
+    for x in alpha.letters:
+        first, second = alpha.occurrences(x)
+        if alpha.type_of(x) == TYPE_B:
+            out.append((first, second, True, second, first))
+        else:
+            out.append((first, second, False, first, second))
+    return out
+
+
 @lru_cache(maxsize=8192)
 def n_values(alpha: Nanoword) -> Mapping[str, int]:
     """n(X) = sum of linking numbers of X with every letter; sums to zero.
 
     The result is cached per word, so it is returned as a read-only mapping.
     """
-    out = {x: 0 for x in alpha.letters}
-    letters = alpha.letters
-    for i, x in enumerate(letters):
-        for y in letters[i + 1 :]:
-            l = linking_number(alpha, x, y)
-            out[x] += l
-            out[y] -= l
-    return MappingProxyType(out)
+    arrows = _arrows(alpha)
+    step = [0] * len(alpha.word)
+    for _, _, _, tail, head in arrows:
+        step[tail], step[head] = 1, -1
+    before = list(accumulate(step, initial=0))  # before[p] = sum(step[:p])
+    return MappingProxyType(
+        {
+            x: (-1 if is_b else 1) * (before[second] - before[first + 1])
+            for x, (first, second, is_b, _, _) in zip(alpha.letters, arrows)
+        }
+    )
 
 
 def u_polynomial(alpha: Nanoword) -> UPolynomial:
@@ -205,7 +223,9 @@ class HeadTailMatrices:
     ``tail[i, j]`` is 1 when, scanning cyclically from the tail of letter i's
     arrow to its head, the tail of letter j's arrow is passed; ``head``
     likewise for the head of j's arrow.  Arrows run first-to-second occurrence
-    for type-a letters and second-to-first for type-b letters.  The difference
+    for type-a letters and second-to-first for type-b letters, so off the
+    diagonal ``tail[i, j] = (first_i < tail_j < second_i) XOR (i is type b)``,
+    and the diagonal is zero.  The difference
     ``tail - head`` recovers the letter-letter linking numbers, so it is
     skew-symmetric for every word.
     """
@@ -234,44 +254,18 @@ class HeadTailMatrices:
         )
 
 
-def _arrow_ends(alpha: Nanoword, name: str) -> tuple[int, int]:
-    """(tail position, head position) of the letter's arrow."""
-    first, second = alpha.occurrences(name)
-    if alpha.type_of(name) == TYPE_A:
-        return first, second
-    return second, first
-
-
-def _cyclic_interval(start: int, stop: int, length: int) -> set[int]:
-    """Positions strictly between start and stop, scanning rightwards cyclically."""
-    out = set()
-    i = (start + 1) % length
-    while i != stop:
-        out.add(i)
-        i = (i + 1) % length
-    return out
-
-
 @lru_cache(maxsize=4096)
 def head_tail_matrices(alpha: Nanoword) -> HeadTailMatrices:
     """Tail and head matrices of a word, letters in lexicographic order."""
-    order = alpha.letters
-    k = len(order)
-    tail = np.zeros((k, k), dtype=np.int64)
-    head = np.zeros((k, k), dtype=np.int64)
-    length = len(alpha.word)
-    ends = {x: _arrow_ends(alpha, x) for x in order}
-    for i, x in enumerate(order):
-        span = _cyclic_interval(ends[x][0], ends[x][1], length)
-        for j, y in enumerate(order):
-            if i == j:
-                continue
-            ty, hy = ends[y]
-            if ty in span:
-                tail[i, j] = 1
-            if hy in span:
-                head[i, j] = 1
-    return HeadTailMatrices(order, tail, head)
+    table = np.array(_arrows(alpha), dtype=np.int64).reshape(-1, 5)
+    first, second, is_b = table[:, :1], table[:, 1:2], table[:, 2:3] == 1
+    off_diagonal = ~np.eye(len(table), dtype=bool)
+
+    def passed(ends: np.ndarray) -> np.ndarray:
+        inside = (first < ends) & (ends < second)
+        return ((inside ^ is_b) & off_diagonal).astype(np.int64)
+
+    return HeadTailMatrices(alpha.letters, passed(table[:, 3]), passed(table[:, 4]))
 
 
 def th_realizable(
@@ -296,12 +290,13 @@ def th_realizable(
     if k == 0:
         return EMPTY
 
-    target_sig = _th_signature(tail, head)
+    # Entries 0..3 of tail + 2 head carry both matrices at once.
+    target = (tail + 2 * head).tolist()
+    target_keys = _line_keys(target)
     for word in all_nanowords(k):
         th = head_tail_matrices(word)
-        if _th_signature(th.tail, th.head) != target_sig:
-            continue
-        perm = _match_permutation(th.tail, th.head, tail, head)
+        rows = (th.tail + 2 * th.head).tolist()
+        perm = _bijection(target, rows, target_keys, _line_keys(rows))
         if perm is not None:
             # Rename so row i of the requested matrices is the i-th letter
             # of the result in lexicographic order.
@@ -314,24 +309,25 @@ def th_realizable(
     return None
 
 
-def _th_signature(tail: np.ndarray, head: np.ndarray) -> tuple:
-    rows = sorted(
-        (
-            int(tail[i].sum()),
-            int(tail[:, i].sum()),
-            int(head[i].sum()),
-            int(head[:, i].sum()),
-        )
-        for i in range(tail.shape[0])
-    )
-    return tuple(rows)
+def _line_keys(rows: list[list[int]]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(sorted row, sorted column) of each index of a square matrix."""
+    return [(tuple(sorted(row)), tuple(sorted(col))) for row, col in zip(rows, zip(*rows))]
 
 
-def _match_permutation(
-    t1: np.ndarray, h1: np.ndarray, t2: np.ndarray, h2: np.ndarray
+def _bijection(
+    rows1: list[list[int]], rows2: list[list[int]], keys1: list, keys2: list
 ) -> list[int] | None:
-    """Permutation p with t1[p][:, p] == t2 and h1[p][:, p] == h2, or None."""
-    k = t1.shape[0]
+    """The p with rows1[i][j] == rows2[p[i]][p[j]] for all i, j, or None.
+
+    ``keys1[i]`` and ``keys2[c]`` must be invariants of an index under such
+    maps, so p only sends i to a c of equal key.  Depth-first, each index
+    tries those c in ascending order, checked against the indices already
+    placed, so the first p found does not depend on how the keys prune.
+    """
+    if sorted(keys1) != sorted(keys2):
+        return None
+    candidates = [[c for c, key in enumerate(keys2) if key == key1] for key1 in keys1]
+    k = len(rows1)
     perm: list[int] = []
     used = [False] * k
 
@@ -339,21 +335,15 @@ def _match_permutation(
         i = len(perm)
         if i == k:
             return True
-        for c in range(k):
-            if used[c]:
+        row1 = rows1[i]
+        for c in candidates[i]:
+            row2 = rows2[c]
+            if used[c] or row1[i] != row2[c]:
                 continue
-            ok = t1[c, c] == t2[i, i]
-            for j in range(i):
-                if not ok:
+            for j, d in enumerate(perm):
+                if row1[j] != row2[d] or rows1[j][i] != rows2[d][c]:
                     break
-                d = perm[j]
-                ok = (
-                    t1[c, d] == t2[i, j]
-                    and t1[d, c] == t2[j, i]
-                    and h1[c, d] == h2[i, j]
-                    and h1[d, c] == h2[j, i]
-                )
-            if ok:
+            else:
                 perm.append(c)
                 used[c] = True
                 if extend():
@@ -519,41 +509,9 @@ def bm_isomorphic(m1: BasedMatrix, m2: BasedMatrix) -> bool:
     Backtracking over element assignments, pruned by the per-element key
     (b(g, s), sorted multiset of the row of g); exact at desk scale.
     """
-    if m1.signature() != m2.signature():
-        return False
     p1, p2 = m1.pairing.tolist(), m2.pairing.tolist()
-    keys2 = _row_keys(p2)
-    candidates = [
-        [j for j, key2 in enumerate(keys2, 1) if key2 == key1]
-        for key1 in _row_keys(p1)
-    ]
-    k = m1.size
-    assigned: list[int] = []
-    used = [False] * k
-
-    def extend() -> bool:
-        i = len(assigned) + 1
-        if i == k:
-            return True
-        for j in candidates[i - 1]:
-            if used[j]:
-                continue
-            ok = True
-            for prev_i in range(1, i):
-                prev_j = assigned[prev_i - 1]
-                if p1[i][prev_i] != p2[j][prev_j]:
-                    ok = False
-                    break
-            if ok:
-                assigned.append(j)
-                used[j] = True
-                if extend():
-                    return True
-                assigned.pop()
-                used[j] = False
-        return False
-
-    return extend()
+    # The empty key is the special element's alone, so s maps to s.
+    return _bijection(p1, p2, [(), *_row_keys(p1)], [(), *_row_keys(p2)]) is not None
 
 
 def _unique_tags(base: Sequence[str], taken: set[str]) -> list[str]:

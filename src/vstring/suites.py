@@ -240,10 +240,7 @@ def suite_reduction_confluence(max_rank: int = 3, seed: int = _DEFAULT_SEED, sam
     """Random removal orders all reach isomorphic primitive based matrices."""
     report = SuiteReport("reduction-confluence")
     rng = random.Random(seed + 2)
-    words = canonical_population(max_rank)
-    if sample:
-        words += sample_nanowords((4, 5), sample, seed + 3)
-    for word in words:
+    for word in population(max_rank, seed + 3, sample):
         m = based_matrix(word)
         reference, _ = reduce_to_primitive(m)
         orders = 50 if word.rank <= 3 else 10

@@ -204,6 +204,7 @@ class TestSizeGuards:
                 "canonical_population",
             ),
             (("verify", "structural", "--max-rank", "7"), "run_suite"),
+            (("verify", "structural", "--max-rank", "6"), "run_suite"),
         ],
     )
     def test_rejected_before_building(

@@ -319,3 +319,26 @@ class TestNames:
         renamed, mapping = relabel_disjoint(beta, {"A", "B", "C", "D"})
         assert renamed.text() == "EFEGFG|abb"
         assert mapping == {"A": "E", "B": "F", "C": "G"}
+
+
+class TestRoundTrips:
+    @given(named_nanowords(max_rank=7))
+    @settings(max_examples=100, deadline=None)
+    def test_shift_and_shift_inv(self, w):
+        assert shift(shift_inv(w)) == w
+        assert shift_inv(shift(w)) == w
+
+    @given(named_nanowords(max_rank=4), st.integers(1, 5), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_inverted_steps_replay_to_start(self, w, length, data):
+        # Letter-adding kinds are drawn like any other, so the walk may grow.
+        current, steps = w, []
+        for _ in range(length):
+            sites = {k: find_sites(current, k, max_sites=8) for k in MoveKind}
+            kind = data.draw(st.sampled_from([k for k in MoveKind if sites[k]]))
+            site = data.draw(st.sampled_from(sites[kind]))
+            current = apply_move(current, site)
+            steps.append(site)
+        end = MoveTrace(w, tuple(steps)).end()
+        assert end == current
+        assert MoveTrace(end, tuple(invert_steps(w, steps))).end() == w

@@ -1,0 +1,265 @@
+"""Differential tests of the letter weights, head/tail matrices and th_realizable.
+
+The reference functions below are the straightforward forms: n(X) sums the
+pairwise linking numbers, the head and tail matrices test each arrow end for
+membership in a set of cyclic positions, and ``th_realizable`` matches
+permutations with its own backtracker after a row/column-sum prefilter.  The
+library reads every one of them from one table of occurrence positions and
+arrow ends, and ``th_realizable`` shares the backtracker of ``bm_isomorphic``.
+They must give the same weights, the same matrices and the same realizing
+word.
+"""
+
+import random
+
+import numpy as np
+from hypothesis import given, settings
+
+from vstring.core import EMPTY, TYPE_A, Nanoword, fresh_names
+from vstring.enumeration import all_nanowords, canonical_population, sample_nanowords
+from vstring.invariants import (
+    _bijection,
+    _line_keys,
+    head_tail_matrices,
+    linking_number,
+    n_values,
+    th_realizable,
+)
+from vstring.ops import cable
+
+from test_core import named_nanowords
+
+
+def ref_n_values(alpha: Nanoword) -> dict[str, int]:
+    out = {x: 0 for x in alpha.letters}
+    letters = alpha.letters
+    for i, x in enumerate(letters):
+        for y in letters[i + 1 :]:
+            l = linking_number(alpha, x, y)
+            out[x] += l
+            out[y] -= l
+    return out
+
+
+def ref_arrow_ends(alpha: Nanoword, name: str) -> tuple[int, int]:
+    first, second = alpha.occurrences(name)
+    if alpha.type_of(name) == TYPE_A:
+        return first, second
+    return second, first
+
+
+def ref_cyclic_interval(start: int, stop: int, length: int) -> set[int]:
+    out = set()
+    i = (start + 1) % length
+    while i != stop:
+        out.add(i)
+        i = (i + 1) % length
+    return out
+
+
+def ref_head_tail_matrices(alpha: Nanoword) -> tuple[np.ndarray, np.ndarray]:
+    order = alpha.letters
+    k = len(order)
+    tail = np.zeros((k, k), dtype=np.int64)
+    head = np.zeros((k, k), dtype=np.int64)
+    length = len(alpha.word)
+    ends = {x: ref_arrow_ends(alpha, x) for x in order}
+    for i, x in enumerate(order):
+        span = ref_cyclic_interval(ends[x][0], ends[x][1], length)
+        for j, y in enumerate(order):
+            if i == j:
+                continue
+            ty, hy = ends[y]
+            if ty in span:
+                tail[i, j] = 1
+            if hy in span:
+                head[i, j] = 1
+    return tail, head
+
+
+def ref_th_signature(tail: np.ndarray, head: np.ndarray) -> tuple:
+    return tuple(
+        sorted(
+            (
+                int(tail[i].sum()),
+                int(tail[:, i].sum()),
+                int(head[i].sum()),
+                int(head[:, i].sum()),
+            )
+            for i in range(tail.shape[0])
+        )
+    )
+
+
+def ref_match_permutation(t1, h1, t2, h2) -> list[int] | None:
+    k = t1.shape[0]
+    perm: list[int] = []
+    used = [False] * k
+
+    def extend() -> bool:
+        i = len(perm)
+        if i == k:
+            return True
+        for c in range(k):
+            if used[c]:
+                continue
+            ok = t1[c, c] == t2[i, i]
+            for j in range(i):
+                if not ok:
+                    break
+                d = perm[j]
+                ok = (
+                    t1[c, d] == t2[i, j]
+                    and t1[d, c] == t2[j, i]
+                    and h1[c, d] == h2[i, j]
+                    and h1[d, c] == h2[j, i]
+                )
+            if ok:
+                perm.append(c)
+                used[c] = True
+                if extend():
+                    return True
+                perm.pop()
+                used[c] = False
+        return False
+
+    return perm if extend() else None
+
+
+def ref_th_realizable(tail: np.ndarray, head: np.ndarray) -> Nanoword | None:
+    tail = np.asarray(tail, dtype=np.int64)
+    head = np.asarray(head, dtype=np.int64)
+    k = tail.shape[0]
+    if k == 0:
+        return EMPTY
+    target_sig = ref_th_signature(tail, head)
+    for word in all_nanowords(k):
+        t1, h1 = ref_head_tail_matrices(word)
+        if ref_th_signature(t1, h1) != target_sig:
+            continue
+        perm = ref_match_permutation(t1, h1, tail, head)
+        if perm is not None:
+            names = fresh_names((), k)
+            mapping = {word.letters[perm[i]]: names[i] for i in range(k)}
+            return Nanoword(
+                (mapping[x] for x in word.word),
+                {mapping[x]: word.type_of(x) for x in word.letters},
+            )
+    return None
+
+
+def assert_matches_reference(w: Nanoword) -> None:
+    nv = n_values(w)
+    assert dict(nv) == ref_n_values(w), w.text()
+    assert list(nv) == list(w.letters)
+    th = head_tail_matrices(w)
+    tail, head = ref_head_tail_matrices(w)
+    assert th.order == w.letters
+    assert np.array_equal(th.tail, tail), w.text()
+    assert np.array_equal(th.head, head), w.text()
+    linking = [[linking_number(w, x, y) for y in w.letters] for x in w.letters]
+    assert (th.tail - th.head).tolist() == linking
+
+
+def _cables() -> list[Nanoword]:
+    return [cable(w, n) for w in canonical_population(3) for n in (2, 3)]
+
+
+def test_every_raw_word_up_to_rank_4():
+    count = 0
+    for rank in range(5):
+        for w in all_nanowords(rank):
+            assert_matches_reference(w)
+            count += 1
+    assert count == 1 + 2 + 3 * 4 + 15 * 8 + 105 * 16
+
+
+def test_cables_of_rank_3_words():
+    words = _cables()
+    assert max(w.rank for w in words) == 29
+    for w in words:
+        assert_matches_reference(w)
+
+
+def test_sampled_rank_5_to_7_words():
+    words = sample_nanowords((5, 6, 7), 40, 31)
+    assert len(words) == 40
+    for w in words:
+        assert_matches_reference(w)
+
+
+@given(named_nanowords(max_rank=7))
+@settings(max_examples=200, deadline=None)
+def test_named_words(w):
+    assert_matches_reference(w)
+
+
+def _same_outcome(tail: np.ndarray, head: np.ndarray) -> Nanoword | None:
+    got = th_realizable(tail, head)
+    expected = ref_th_realizable(tail, head)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got.text() == expected.text()
+    return got
+
+
+def test_th_realizable_same_word_as_reference():
+    rng = random.Random(5)
+    for w in canonical_population(3):
+        th = head_tail_matrices(w)
+        k = len(th.order)
+        perms = [list(range(k))] + [rng.sample(range(k), k) for _ in range(2)]
+        for perm in perms:
+            tail = th.tail[np.ix_(perm, perm)]
+            head = th.head[np.ix_(perm, perm)]
+            got = _same_outcome(tail, head)
+            assert got is not None
+            back = head_tail_matrices(got)
+            assert np.array_equal(back.tail, tail)
+            assert np.array_equal(back.head, head)
+
+
+def _random_pair(k: int, rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
+    def one() -> np.ndarray:
+        m = np.array([[rng.randrange(2) for _ in range(k)] for _ in range(k)])
+        np.fill_diagonal(m, 0)
+        return m
+
+    return one(), one()
+
+
+def test_bijection_same_permutation_as_reference():
+    # Random 0/1 pairs with zero diagonal, not skew: a match must check both
+    # b[i][j] and b[j][i].  Half the targets are permuted copies, half of
+    # those with one entry flipped.
+    rng = random.Random(7)
+    found = 0
+    for _ in range(400):
+        k = rng.randrange(1, 6)
+        t1, h1 = _random_pair(k, rng)
+        if rng.randrange(2):
+            perm = rng.sample(range(k), k)
+            t2, h2 = t1[np.ix_(perm, perm)].copy(), h1[np.ix_(perm, perm)].copy()
+            if k > 1 and rng.randrange(2):
+                i, j = rng.sample(range(k), 2)
+                t2[i, j] ^= 1
+        else:
+            t2, h2 = _random_pair(k, rng)
+        target, rows = (t2 + 2 * h2).tolist(), (t1 + 2 * h1).tolist()
+        expected = ref_match_permutation(t1, h1, t2, h2)
+        # Equal keys leave the search unpruned; the line keys prune it.
+        assert _bijection(target, rows, [0] * k, [0] * k) == expected
+        assert _bijection(target, rows, _line_keys(target), _line_keys(rows)) == expected
+        found += expected is not None
+    assert 100 < found < 300
+
+
+def test_th_realizable_unrealizable_pairs():
+    rng = random.Random(6)
+    pairs = [_random_pair(2, rng) for _ in range(16)]
+    pairs += [_random_pair(3, rng) for _ in range(40)]
+    unrealizable = 0
+    for tail, head in pairs:
+        if _same_outcome(tail, head) is None:
+            unrealizable += 1
+    assert unrealizable >= 20
