@@ -755,8 +755,8 @@ def _invert_one(before: Nanoword, site: MoveSite) -> MoveSite:
 def fresh_names(used: Iterable[str], count: int) -> list[str]:
     """``count`` names not in ``used``, in canonical (A, B, ..., A.1, ...) order."""
     taken = set(used)
-    names = (_canonical_name(i) for i in itertools.count())
-    return list(itertools.islice((n for n in names if n not in taken), count))
+    # At most len(taken) of the first len(taken) + count names are taken.
+    return [n for n in _canonical_names(len(taken) + count) if n not in taken][:count]
 
 
 def continuation_names(used: Iterable[str], count: int) -> list[str]:

@@ -294,7 +294,8 @@ def th_realizable(
     target = (tail + 2 * head).tolist()
     target_keys = _line_keys(target)
     for word in all_nanowords(k):
-        th = head_tail_matrices(word)
+        # Uncached: one rank-5 search would evict every cached word's matrices.
+        th = head_tail_matrices.__wrapped__(word)
         rows = (th.tail + 2 * th.head).tolist()
         perm = _bijection(target, rows, target_keys, _line_keys(rows))
         if perm is not None:

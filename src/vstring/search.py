@@ -8,6 +8,22 @@ the start.  Every result carries a replayable move trace, so a "homotopic"
 answer is a checkable certificate, and "distinct" answers delegate to the
 invariant comparison, so the two can never both hold.
 
+Under ``ALL_MOVES`` a state's successors come from two rotations of its
+word w, not from the whole shift orbit.  Say w has length n.  A site of
+rotation j is a set of letter pairs or insertion slots at cyclic places of
+w.  Unless one of its pairs straddles the base point of w, the same places
+form a site of w, whose result is the rotation-j result shifted back j
+times, so both reach the same state.  Letters carried past the base point
+change type on the way, which can change the kind of the site; the derived
+kinds H2a and H3a/b/c absorb that flip.  The one pair of places that is
+not adjacent in w is (n-1, 0), across its base point.  Rotation 1 makes it
+adjacent, as its last pair (n-2, n-1), and a site of a later rotation that
+uses it is a site of rotation 1 as well.  So the search applies every site
+of w and, from ``shift(w)``, only the letter-removing and H3-family sites
+whose last pair is (n-2, n-1).  Without the derived kinds a flipped site
+can fall outside the move set, so any other move set walks the whole
+orbit.
+
 Homotopy of virtual strings is only semi-decidable with these tools: search
 yields upper-bound witnesses (a low-rank representative, an equivalence
 trace) or "unknown", never a proof of inequivalence by itself.
@@ -32,6 +48,7 @@ from .core import (
     canonical_relabel,
     find_sites,
     invert_steps,
+    shift,
     shift_canonical,
     shift_canonical_text,
     shift_orbit,
@@ -110,6 +127,8 @@ class _Frontier:
     ):
         self.budget = budget
         self.moves = tuple(moves)
+        # See the module docstring: only ALL_MOVES may skip rotations 2 and up.
+        self.straddle_only = set(self.moves) == set(ALL_MOVES)
         self.rank_cap = start.rank + budget.max_rank_increase
         self.nodes: dict[str, _Node] = {}
         self.heap: list[tuple[int, int, int, str]] = []
@@ -155,14 +174,19 @@ class _Frontier:
     def _successors(
         self, word: Nanoword
     ) -> Iterator[tuple[tuple[MoveSite, ...], Nanoword]]:
+        """(steps, result) of each site applied; see the module docstring."""
         shift_site = MoveSite(MoveKind.SHIFT)
-        for j, rotated in enumerate(shift_orbit(word)):
+        last = len(word.word) - 1
+        rotations = [word, shift(word)] if self.straddle_only else shift_orbit(word)
+        for j, rotated in enumerate(rotations):
             prefix = (shift_site,) * j
+            straddle = j > 0 and self.straddle_only
             for kind in self.moves:
-                if kind in RANK_INCREASING and word.rank + 1 > self.rank_cap:
+                if kind in RANK_INCREASING and (straddle or word.rank + 1 > self.rank_cap):
                     continue
                 for site in find_sites(rotated, kind):
-                    yield prefix + (site,), apply_move(rotated, site)
+                    if not straddle or site.positions[-1] == last:
+                        yield prefix + (site,), apply_move(rotated, site)
 
     def trace_steps(self, key: str) -> list[MoveSite]:
         chain: list[tuple[MoveSite, ...]] = []

@@ -184,6 +184,17 @@ class TestTHRealizable:
     def test_empty_pair(self):
         assert th_realizable(np.zeros((0, 0)), np.zeros((0, 0))) == EMPTY
 
+    def test_cached_matrices_survive_search(self):
+        # The search's throwaway words bypass the cache, so they evict nothing.
+        word = parse("ABCBCA|bab")
+        head_tail_matrices(word)
+        before = head_tail_matrices.cache_info()
+        assert th_realizable(*self.UNREALIZABLE) is None
+        assert head_tail_matrices.cache_info() == before
+        head_tail_matrices(word)
+        after = head_tail_matrices.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
     def test_cap(self):
         with pytest.raises(ValueError):
             th_realizable(np.zeros((6, 6)), np.zeros((6, 6)), cap=5)
