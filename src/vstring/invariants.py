@@ -257,6 +257,11 @@ class HeadTailMatrices:
 @lru_cache(maxsize=4096)
 def head_tail_matrices(alpha: Nanoword) -> HeadTailMatrices:
     """Tail and head matrices of a word, letters in lexicographic order."""
+    return _head_tail_matrices(alpha)
+
+
+def _head_tail_matrices(alpha: Nanoword) -> HeadTailMatrices:
+    """Uncached body of ``head_tail_matrices``."""
     table = np.array(_arrows(alpha), dtype=np.int64).reshape(-1, 5)
     first, second, is_b = table[:, :1], table[:, 1:2], table[:, 2:3] == 1
     off_diagonal = ~np.eye(len(table), dtype=bool)
@@ -295,7 +300,7 @@ def th_realizable(
     target_keys = _line_keys(target)
     for word in all_nanowords(k):
         # Uncached: one rank-5 search would evict every cached word's matrices.
-        th = head_tail_matrices.__wrapped__(word)
+        th = _head_tail_matrices(word)
         rows = (th.tail + 2 * th.head).tolist()
         perm = _bijection(target, rows, target_keys, _line_keys(rows))
         if perm is not None:

@@ -1,3 +1,4 @@
+import functools
 import logging
 import random
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vstring.invariants as invariants
 from vstring.core import EMPTY, Nanoword, canonical_relabel, parse, shift
 from vstring.enumeration import all_nanowords, canonical_population
 from vstring.invariants import (
@@ -194,6 +196,20 @@ class TestTHRealizable:
         head_tail_matrices(word)
         after = head_tail_matrices.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_cache_untouched_with_public_name_wrapped(self, monkeypatch):
+        # A profiler may rebind the public name to a wrapper of the cached
+        # function; the search must still bypass the cache.
+        cached = invariants.head_tail_matrices
+
+        @functools.wraps(cached)
+        def wrapper(alpha):
+            return cached(alpha)
+
+        monkeypatch.setattr(invariants, "head_tail_matrices", wrapper)
+        before = cached.cache_info()
+        assert th_realizable(*self.UNREALIZABLE) is None
+        assert cached.cache_info() == before
 
     def test_cap(self):
         with pytest.raises(ValueError):

@@ -2,14 +2,15 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/bench_record.py --out BENCH_7.json [--runs 5] [--seconds 38]
+    python3 tools/bench_record.py --out BENCH_7.json
 
-Runs ``perfbench/run.py`` untraced ``--runs`` times on each of its three
-workloads, taking the workloads in turn so that a slow spell of a shared
-host spreads over all of them; run i uses seed i + 1.  The file holds the
-git SHA of the checkout, the machine part of the first run's record line,
-and per workload the items attempted and failed over all runs and, for each
-end-to-end metric, the value of every run with their median and quartiles.
+Runs ``perfbench/run.py`` untraced ``RUNS`` times on each of its three
+workloads for the ``run_seconds`` of ``BENCHMARK.json``, taking the
+workloads in turn so that a slow spell of a shared host spreads over all of
+them; run i uses seed i + 1.  The file holds the git SHA of the checkout,
+the machine part of the first run's record line, and per workload the items
+attempted and failed over all runs and, for each end-to-end metric, the
+value of every run with their median and quartiles.
 Exits 1 if a run fails.
 """
 
@@ -27,6 +28,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from run import END_TO_END  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+#: Untraced runs per workload.
+RUNS = 5
 
 
 def run_once(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -60,18 +64,15 @@ def git_sha() -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=38)
     args = parser.parse_args(argv)
-    if args.runs < 2:
-        parser.error("--runs must be at least 2 to give quartiles")
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
     machine = None
     results: dict[str, list[dict]] = {name: [] for name in WORKLOADS}
     try:
-        for i in range(args.runs):
+        for i in range(RUNS):
             for name in WORKLOADS:
-                record, result = run_once(name, i + 1, args.seconds)
+                record, result = run_once(name, i + 1, seconds)
                 machine = machine or record["machine"]
                 results[name].append(result)
                 print(f"{name} run {i + 1}: wall_s {result['metrics']['wall_s']['value']:.3f}",
@@ -93,8 +94,8 @@ def main(argv: list[str] | None = None) -> int:
     bench = {
         "git_sha": git_sha(),
         "machine": machine,
-        "runs": args.runs,
-        "seconds": args.seconds,
+        "runs": RUNS,
+        "seconds": seconds,
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(bench, indent=2) + "\n")
