@@ -8,21 +8,19 @@ the start.  Every result carries a replayable move trace, so a "homotopic"
 answer is a checkable certificate, and "distinct" answers delegate to the
 invariant comparison, so the two can never both hold.
 
-Under ``ALL_MOVES`` a state's successors come from two rotations of its
-word w, not from the whole shift orbit.  Say w has length n.  A site of
-rotation j is a set of letter pairs or insertion slots at cyclic places of
-w.  Unless one of its pairs straddles the base point of w, the same places
-form a site of w, whose result is the rotation-j result shifted back j
-times, so both reach the same state.  Letters carried past the base point
-change type on the way, which can change the kind of the site; the derived
-kinds H2a and H3a/b/c absorb that flip.  The one pair of places that is
-not adjacent in w is (n-1, 0), across its base point.  Rotation 1 makes it
-adjacent, as its last pair (n-2, n-1), and a site of a later rotation that
-uses it is a site of rotation 1 as well.  So the search applies every site
-of w and, from ``shift(w)``, only the letter-removing and H3-family sites
-whose last pair is (n-2, n-1).  Without the derived kinds a flipped site
-can fall outside the move set, so any other move set walks the whole
-orbit.
+A state's successors come from two rotations of its word w, not from the
+whole shift orbit.  Say w has length n.  A site of rotation j is a set of
+letter pairs or insertion slots at cyclic places of w.  Unless one of its
+pairs straddles the base point of w, the same places form a site of w,
+whose result is the rotation-j result shifted back j times, so both reach
+the same state.  Letters carried past the base point change type on the
+way, which can change the kind of the site; the derived kinds H2a and
+H3a/b/c, which the search always uses, absorb that flip.  The one pair of
+places that is not adjacent in w is (n-1, 0), across its base point.
+Rotation 1 makes it adjacent, as its last pair (n-2, n-1), and a site of a
+later rotation that uses it is a site of rotation 1 as well.  So the search
+applies every site of w and, from ``shift(w)``, only the letter-removing
+and H3-family sites whose last pair is (n-2, n-1).
 
 Homotopy of virtual strings is only semi-decidable with these tools: search
 yields upper-bound witnesses (a low-rank representative, an equivalence
@@ -34,7 +32,7 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .core import (
     MoveKind,
@@ -51,7 +49,6 @@ from .core import (
     shift,
     shift_canonical,
     shift_canonical_text,
-    shift_orbit,
     shifts_to_canonical,
 )
 from .invariants import DistinguishReport, distinguish
@@ -69,14 +66,6 @@ __all__ = [
 
 #: Search step kinds, letter-removing first so reductions are found early.
 ALL_MOVES: tuple[MoveKind, ...] = RANK_DECREASING + RANK_PRESERVING + RANK_INCREASING
-#: The underived move set (shift moves are implicit in state expansion).
-PRIMITIVE_MOVES: tuple[MoveKind, ...] = (
-    MoveKind.H1_DOWN,
-    MoveKind.H2_DOWN,
-    MoveKind.H3,
-    MoveKind.H1_UP,
-    MoveKind.H2_UP,
-)
 
 
 @dataclass(frozen=True)
@@ -119,16 +108,8 @@ class _Node:
 class _Frontier:
     """Best-first expansion over shift-orbit canonical states."""
 
-    def __init__(
-        self,
-        start: Nanoword,
-        budget: SearchBudget,
-        moves: Sequence[MoveKind],
-    ):
+    def __init__(self, start: Nanoword, budget: SearchBudget):
         self.budget = budget
-        self.moves = tuple(moves)
-        # See the module docstring: only ALL_MOVES may skip rotations 2 and up.
-        self.straddle_only = set(self.moves) == set(ALL_MOVES)
         self.rank_cap = start.rank + budget.max_rank_increase
         self.nodes: dict[str, _Node] = {}
         self.heap: list[tuple[int, int, int, str]] = []
@@ -142,8 +123,9 @@ class _Frontier:
         heapq.heappush(self.heap, (rank, depth, self.counter, key))
         self.counter += 1
 
-    def exhausted(self) -> bool:
-        return not self.heap
+    def exhausted(self, shared_states: int) -> bool:
+        """No state left to expand, or no room left for a new one."""
+        return not self.heap or len(self.nodes) + shared_states >= self.budget.max_states
 
     def best(self) -> _Node:
         return self.nodes[self.best_key]
@@ -175,17 +157,14 @@ class _Frontier:
         self, word: Nanoword
     ) -> Iterator[tuple[tuple[MoveSite, ...], Nanoword]]:
         """(steps, result) of each site applied; see the module docstring."""
-        shift_site = MoveSite(MoveKind.SHIFT)
         last = len(word.word) - 1
-        rotations = [word, shift(word)] if self.straddle_only else shift_orbit(word)
-        for j, rotated in enumerate(rotations):
-            prefix = (shift_site,) * j
-            straddle = j > 0 and self.straddle_only
-            for kind in self.moves:
-                if kind in RANK_INCREASING and (straddle or word.rank + 1 > self.rank_cap):
+        for j, rotated in enumerate((word, shift(word))):
+            prefix = (MoveSite(MoveKind.SHIFT),) * j
+            for kind in ALL_MOVES:
+                if kind in RANK_INCREASING and (j or word.rank + 1 > self.rank_cap):
                     continue
                 for site in find_sites(rotated, kind):
-                    if not straddle or site.positions[-1] == last:
+                    if not j or site.positions[-1] == last:
                         yield prefix + (site,), apply_move(rotated, site)
 
     def trace_steps(self, key: str) -> list[MoveSite]:
@@ -202,18 +181,15 @@ class _Frontier:
 
 
 def reduce_bounded(
-    alpha: Nanoword,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    *,
-    moves: Sequence[MoveKind] = ALL_MOVES,
+    alpha: Nanoword, budget: SearchBudget = DEFAULT_BUDGET
 ) -> tuple[Nanoword, MoveTrace]:
     """Lowest-rank word reachable within the budget, with a replayable trace.
 
     The returned rank is an upper bound for the homotopy rank of ``alpha``;
     exhausting the budget returns the best word found so far.
     """
-    frontier = _Frontier(alpha, budget, moves)
-    while not frontier.exhausted():
+    frontier = _Frontier(alpha, budget)
+    while not frontier.exhausted(0):
         frontier.expand_one(0)
         if frontier.best().word.rank == 0:
             break
@@ -287,27 +263,24 @@ def equivalent_bounded(
     alpha: Nanoword,
     beta: Nanoword,
     budget: SearchBudget = DEFAULT_BUDGET,
-    *,
-    moves: Sequence[MoveKind] = ALL_MOVES,
-    distinguish_depth: int = 2,
 ) -> EquivalenceResult:
     """Bidirectional bounded search for a homotopy between two words.
 
     Returns "homotopic" only with a trace that has been replayed and checked,
     "distinct" only when an invariant separates the words, else "unknown".
     """
-    report = distinguish(alpha, beta, distinguish_depth)
+    report = distinguish(alpha, beta)
     if report.verdict == "distinct":
         return EquivalenceResult("distinct", report=report)
 
-    fa = _Frontier(alpha, budget, moves)
-    fb = _Frontier(beta, budget, moves)
+    fa = _Frontier(alpha, budget)
+    fb = _Frontier(beta, budget)
 
     common = [k for k in fa.nodes if k in fb.nodes]
     while not common:
         progressed = False
         for mine, other in ((fa, fb), (fb, fa)):
-            if mine.exhausted():
+            if mine.exhausted(len(other.nodes)):
                 continue
             progressed = True
             # No state was shared before this expansion, so a shared one is new.

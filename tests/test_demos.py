@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-# 05_search.py runs bounded searches that take tens of seconds; it is left out.
-DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-4]_*.py"))
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0*_*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS)

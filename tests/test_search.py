@@ -2,12 +2,15 @@ import pytest
 
 from vstring.core import (
     EMPTY,
+    RANK_INCREASING,
     MoveKind,
+    MoveSite,
     apply_move,
     canonical_relabel,
     find_sites,
     parse,
     shift,
+    shift_orbit,
 )
 from vstring.enumeration import (
     all_nanowords,
@@ -18,12 +21,28 @@ from vstring.enumeration import (
 from vstring.invariants import primitive_based_matrix, rho, u_polynomial, bm_isomorphic
 from vstring.ops import gen_alpha_n, gen_gamma_pq
 from vstring.search import (
-    PRIMITIVE_MOVES,
     SearchBudget,
+    _Frontier,
     covering_graph,
     equivalent_bounded,
     reduce_bounded,
 )
+
+
+def record_states(monkeypatch):
+    """The states held by all frontiers at each call of ``_Frontier._successors``."""
+    successors = _Frontier._successors
+    frontiers = []
+    totals = []
+
+    def recorded(self, word):
+        if self not in frontiers:
+            frontiers.append(self)
+        totals.append(sum(len(f.nodes) for f in frontiers))
+        return successors(self, word)
+
+    monkeypatch.setattr(_Frontier, "_successors", recorded)
+    return totals
 
 
 class TestEnumeration:
@@ -104,6 +123,14 @@ class TestReduceBounded:
         assert reduced == word
         assert trace.steps == ()
 
+    def test_stops_at_state_cap(self, monkeypatch):
+        # The cap is reached after a few expansions; no state is expanded
+        # once nothing more can be added.
+        totals = record_states(monkeypatch)
+        reduced, _ = reduce_bounded(parse("ABCBDCAD|aabb"), SearchBudget(2, 1000, 64))
+        assert reduced.text() == "ABCBDCAD|aabb"
+        assert max(totals) < 1000
+
     def test_reduced_to_zero_has_trivial_invariants(self):
         for word in [gen_gamma_pq(1, 1), gen_alpha_n(3), parse("ABCABC|aba")]:
             reduced, _ = reduce_bounded(word)
@@ -147,6 +174,14 @@ class TestEquivalentBounded:
         )
         assert res.verdict == "unknown"
 
+    def test_stops_at_state_cap(self, monkeypatch):
+        # Both frontiers count the states they hold together, so both stop
+        # expanding once the pair has reached the cap.
+        totals = record_states(monkeypatch)
+        res = equivalent_bounded(gen_alpha_n(6), EMPTY, SearchBudget(2, 200, 64))
+        assert res.verdict == "unknown"
+        assert max(totals) < 200
+
     def test_never_both_verdicts(self):
         # A verified trace and an invariant separation cannot coexist: replay
         # the trace and re-check invariants agree at both ends.
@@ -157,24 +192,56 @@ class TestEquivalentBounded:
         assert rho(start) == rho(end)
 
 
+#: The underived homotopy moves; shift moves are implicit in state expansion.
+UNDERIVED = (
+    MoveKind.H1_DOWN,
+    MoveKind.H2_DOWN,
+    MoveKind.H3,
+    MoveKind.H1_UP,
+    MoveKind.H2_UP,
+)
+
+
+def whole_orbit_successors(self, word):
+    """Every underived site of every rotation of ``word``, with its result.
+
+    Without the derived kinds a site that straddles the base point can flip
+    to a kind outside the move set, so every rotation must be walked.
+    """
+    shift_site = MoveSite(MoveKind.SHIFT)
+    for j, rotated in enumerate(shift_orbit(word)):
+        prefix = (shift_site,) * j
+        for kind in UNDERIVED:
+            if kind in RANK_INCREASING and word.rank + 1 > self.rank_cap:
+                continue
+            for site in find_sites(rotated, kind):
+                yield prefix + (site,), apply_move(rotated, site)
+
+
 class TestDerivedMoveSoundness:
     """The derived moves are consequences of shift/H1/H2/H3.
 
     For sampled sites of each derived kind, the two sides must be connected
-    by the underived move set within a bounded search.
+    by the underived move set within a bounded search.  The search runs with
+    its successors replaced by the whole-orbit loop over the underived kinds.
     """
 
     BUDGET = SearchBudget(2, 60_000, 48)
+    TRACE_KINDS = set(UNDERIVED) | {MoveKind.SHIFT, MoveKind.SHIFT_INV}
+
+    @pytest.fixture(autouse=True)
+    def underived_search(self, monkeypatch):
+        monkeypatch.setattr(_Frontier, "_successors", whole_orbit_successors)
 
     def _check_kind(self, kind, words, limit):
         checked = 0
         for word in words:
             for site in find_sites(word, kind, max_sites=2):
                 other = apply_move(word, site)
-                res = equivalent_bounded(
-                    word, other, self.BUDGET, moves=PRIMITIVE_MOVES
-                )
+                res = equivalent_bounded(word, other, self.BUDGET)
                 assert res.verdict == "homotopic", (word.text(), str(site))
+                kinds = {step.kind for step in res.trace.steps}
+                assert kinds <= self.TRACE_KINDS, (word.text(), str(site), kinds)
                 checked += 1
                 if checked >= limit:
                     return checked

@@ -1,13 +1,13 @@
 """Differential test of the search's successor generation.
 
 The reference below is the loop the search used before: every site of every
-rotation in the shift orbit of a state's word.  Under ``ALL_MOVES`` the
-search now applies every site of rotation 0 and, from rotation 1, only the
-letter-removing and H3-family sites whose last pair straddles the base point
-of rotation 0 (see the ``search`` module docstring).  Both must reach the
-same shift classes, and each site the search skips in rotation 1 must reach
-a class that rotation 0 already reaches, so that every state is first found
-by the same site as before and traces do not change.
+rotation in the shift orbit of a state's word.  The search applies every
+site of rotation 0 and, from rotation 1, only the letter-removing and
+H3-family sites whose last pair straddles the base point of rotation 0 (see
+the ``search`` module docstring).  Both must reach the same shift classes,
+and each site the search skips in rotation 1 must reach a class that
+rotation 0 already reaches, so that every state is first found by the same
+site as before and traces do not change.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -24,14 +24,14 @@ from vstring.core import (
 )
 from vstring.enumeration import canonical_population
 from vstring.ops import cable
-from vstring.search import ALL_MOVES, PRIMITIVE_MOVES, SearchBudget, _Frontier
+from vstring.search import ALL_MOVES, SearchBudget, _Frontier
 
 
 def ref_successors(frontier, word, rotations=None):
     shift_site = MoveSite(MoveKind.SHIFT)
     for j, rotated in enumerate(shift_orbit(word)[:rotations]):
         prefix = (shift_site,) * j
-        for kind in frontier.moves:
+        for kind in ALL_MOVES:
             if kind in RANK_INCREASING and word.rank + 1 > frontier.rank_cap:
                 continue
             for site in find_sites(rotated, kind):
@@ -43,9 +43,9 @@ def is_subsequence(short, long):
     return all(any(item == other for other in remaining) for item in short)
 
 
-def check_word(word, moves=ALL_MOVES, rank_increase=0, rotations=None):
+def check_word(word, rank_increase=0, rotations=None):
     """The successors of ``word`` against the reference on its first ``rotations``."""
-    frontier = _Frontier(word, SearchBudget(max_rank_increase=rank_increase), moves)
+    frontier = _Frontier(word, SearchBudget(max_rank_increase=rank_increase))
     new = list(frontier._successors(word))
     ref = list(ref_successors(frontier, word, rotations))
     # The same sites in the same order, a subset of the reference's.
@@ -85,13 +85,6 @@ def test_rotation_1_keeps_only_straddling_sites():
             assert steps[1].kind not in RANK_INCREASING
             assert steps[1].positions[-1] == last
     assert len(new) < len(ref)
-
-
-def test_primitive_moves_walk_every_rotation():
-    for word in canonical_population(3)[1:]:
-        new, ref = check_word(word, moves=PRIMITIVE_MOVES, rank_increase=1)
-        assert new == ref
-        assert max(len(steps) for steps, _ in new) == len(shift_orbit(word))
 
 
 _NAMES = [chr(65 + i) for i in range(26)] + ["X.1", "A.2", "B.1", "Q_3", "C.10"]
