@@ -11,8 +11,9 @@ usage or input errors, 2 when a verification suite fails.  The environment
 variable ``VSTRING_BUDGET`` ("rank_increase,max_states,max_depth") overrides
 the default search budget.  Requests whose size would explode are rejected
 with exit code 1 before any work: ``cable``, ``rdot`` and ``gen`` results
-above rank ``MAX_WORD_RANK``, and ``--max-rank`` above ``MAX_TABULATE_RANK``
-(``tabulate``, ``graph``) or ``MAX_VERIFY_RANK`` (``verify``).
+above rank ``MAX_WORD_RANK``, ``--max-rank`` above ``MAX_TABULATE_RANK``
+(``tabulate``, ``graph``) or ``MAX_VERIFY_RANK`` (``verify``), and a
+``verify --sample`` below 0 or above ``MAX_VERIFY_SAMPLE``.
 """
 
 from __future__ import annotations
@@ -24,11 +25,7 @@ from typing import Sequence
 
 from .core import MoveTrace, Nanoword, NanowordError, canonical_relabel, parse
 from .enumeration import canonical_population
-from .invariants import (
-    invariant_bundle,
-    n_values,
-    u_polynomial,
-)
+from .invariants import invariant_bundle, u_polynomial
 from .ops import cable, compose, covering, gen_alpha_n, gen_gamma_pq, r_dot, uncover_preimage
 from .search import SearchBudget, covering_graph, equivalent_bounded, reduce_bounded
 from .suites import SUITES, run_suite
@@ -43,6 +40,8 @@ MAX_WORD_RANK = 10_000
 MAX_TABULATE_RANK = 6
 #: Largest ``--max-rank`` of ``verify``, whose suites do far more per word.
 MAX_VERIFY_RANK = 5
+#: Largest ``verify --sample``; ranks 4-5 hold only 3,246 shift classes.
+MAX_VERIFY_SAMPLE = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,8 +146,7 @@ def _cmd_compute(args) -> int:
         return 0
     print(f"word: {bundle['word']}")
     print(f"rank: {bundle['rank']}")
-    nv = n_values(word)
-    print("n:", " ".join(f"{x}={nv[x]}" for x in word.letters) or "-")
+    print("n:", " ".join(f"{x}={v}" for x, v in bundle["n_values"].items()) or "-")
     print(f"u: {u_polynomial(word)}")
     print(f"rho: {bundle['rho']}")
     return 0
@@ -168,6 +166,9 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_size("--max-rank", args.max_rank, MAX_VERIFY_RANK)
+    if args.sample < 0:
+        raise ValueError(f"--sample {args.sample} is negative")
+    _check_size("--sample", args.sample, MAX_VERIFY_SAMPLE)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     failed = 0
     for name in names:

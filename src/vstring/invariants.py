@@ -17,6 +17,11 @@ is ``T - H + T H^t - H T^t`` in terms of the tail and head matrices.  Three
 reductions (dropping an annihilating element, a core element, or a
 complementary pair) lead to a primitive based matrix, unique up to
 isomorphism, which is a homotopy invariant of the word.
+
+``n_values``, ``based_matrix`` and ``primitive_based_matrix`` (which ``rho``
+reads) cache per word, read-only, as the suites ask for words again.
+``head_tail_matrices`` does not: only ``based_matrix``'s misses and
+``th_realizable``'s throwaway words reach it.
 """
 
 from __future__ import annotations
@@ -68,7 +73,8 @@ SPECIAL = "s"
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.int64)
+    """A read-only int64 copy, so the caller's array can change neither way."""
+    a = np.array(a, dtype=np.int64)
     a.setflags(write=False)
     return a
 
@@ -254,14 +260,8 @@ class HeadTailMatrices:
         )
 
 
-@lru_cache(maxsize=4096)
 def head_tail_matrices(alpha: Nanoword) -> HeadTailMatrices:
     """Tail and head matrices of a word, letters in lexicographic order."""
-    return _head_tail_matrices(alpha)
-
-
-def _head_tail_matrices(alpha: Nanoword) -> HeadTailMatrices:
-    """Uncached body of ``head_tail_matrices``."""
     table = np.array(_arrows(alpha), dtype=np.int64).reshape(-1, 5)
     first, second, is_b = table[:, :1], table[:, 1:2], table[:, 2:3] == 1
     off_diagonal = ~np.eye(len(table), dtype=bool)
@@ -299,8 +299,7 @@ def th_realizable(
     target = (tail + 2 * head).tolist()
     target_keys = _line_keys(target)
     for word in all_nanowords(k):
-        # Uncached: one rank-5 search would evict every cached word's matrices.
-        th = _head_tail_matrices(word)
+        th = head_tail_matrices(word)
         rows = (th.tail + 2 * th.head).tolist()
         perm = _bijection(target, rows, target_keys, _line_keys(rows))
         if perm is not None:
@@ -500,8 +499,11 @@ def reduce_to_primitive(
                 del row[i]
 
 
+@lru_cache(maxsize=4096)
 def primitive_based_matrix(alpha: Nanoword) -> BasedMatrix:
-    return reduce_to_primitive(based_matrix(alpha))[0]
+    """The deterministic reduction of the word's based matrix, cached per word."""
+    m = based_matrix(alpha)
+    return reduce_to_primitive(m)[0]
 
 
 def rho(alpha: Nanoword) -> int:
@@ -704,15 +706,12 @@ def distinguish(alpha: Nanoword, beta: Nanoword, depth: int = 2) -> DistinguishR
 
 def invariant_bundle(alpha: Nanoword) -> dict:
     """JSON-ready bundle of the standard invariants of a word."""
-    m = based_matrix(alpha)
-    p, _ = reduce_to_primitive(m)
-    nv = n_values(alpha)
     return {
         "word": alpha.text(),
         "rank": alpha.rank,
-        "n_values": {x: nv[x] for x in alpha.letters},
+        "n_values": dict(n_values(alpha)),
         "u_polynomial": u_polynomial(alpha).pairs(),
-        "based_matrix": m.to_json(),
-        "primitive": p.to_json(),
-        "rho": p.size - 1,
+        "based_matrix": based_matrix(alpha).to_json(),
+        "primitive": primitive_based_matrix(alpha).to_json(),
+        "rho": rho(alpha),
     }

@@ -216,9 +216,7 @@ def suite_rho_bounds(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int =
         for w in canonical_population(max_rank)
         if w.rank and len({w.type_of(x) for x in w.letters}) == 1
     ]
-    primitive = [
-        w for w in same_type if reduce_to_primitive(based_matrix(w))[1] == ()
-    ]
+    primitive = [w for w in same_type if rho(w) == w.rank]
     for a, b in itertools.product(same_type, repeat=2):
         if {a.type_of(a.letters[0])} != {b.type_of(b.letters[0])}:
             continue
@@ -236,13 +234,12 @@ def suite_rho_bounds(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int =
     return report
 
 
-def suite_reduction_confluence(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int = 40) -> SuiteReport:
+def suite_reduction_confluence(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int = _SAMPLE_COUNT) -> SuiteReport:
     """Random removal orders all reach isomorphic primitive based matrices."""
     report = SuiteReport("reduction-confluence")
     rng = random.Random(seed + 2)
     for word in population(max_rank, seed + 3, sample):
-        m = based_matrix(word)
-        reference, _ = reduce_to_primitive(m)
+        m, reference = based_matrix(word), primitive_based_matrix(word)
         orders = 50 if word.rank <= 3 else 10
         for _ in range(orders):
             alt, _ = reduce_to_primitive(m, rng=rng)

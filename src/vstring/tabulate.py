@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .core import Nanoword, shift_canonical, shift_canonical_text
-from .invariants import based_matrix, reduce_to_primitive, u_polynomial
+from .invariants import primitive_based_matrix, u_polynomial
 from .enumeration import canonical_population
 from .ops import covering
 from .search import reduce_bounded
@@ -32,7 +32,7 @@ class TabulationRecord:
 
 def record_for(word: Nanoword) -> TabulationRecord:
     canonical = shift_canonical(word)
-    primitive, _ = reduce_to_primitive(based_matrix(canonical))
+    primitive = primitive_based_matrix(canonical)
     covers = []
     for r in [0, *range(2, canonical.rank + 1)]:
         covers.append((r, shift_canonical_text(covering(canonical, r))))

@@ -205,6 +205,8 @@ class TestSizeGuards:
             ),
             (("verify", "structural", "--max-rank", "7"), "run_suite"),
             (("verify", "structural", "--max-rank", "6"), "run_suite"),
+            (("verify", "structural", "--sample", "1001"), "run_suite"),
+            (("verify", "all", "--sample", "100000"), "run_suite"),
         ],
     )
     def test_rejected_before_building(
@@ -234,6 +236,7 @@ class TestSizeGuards:
             ("tabulate", "--max-rank", "-1", "--out", "t.jsonl"),
             ("graph", "--max-rank", "-2", "-r", "2", "--dot", "g.dot"),
             ("verify", "structural", "--max-rank", "-1"),
+            ("verify", "structural", "--sample", "-1"),
         ],
     )
     def test_negative_rank_rejected(self, capsys, monkeypatch, tmp_path, argv):

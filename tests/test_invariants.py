@@ -1,4 +1,3 @@
-import functools
 import logging
 import random
 
@@ -6,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import vstring.invariants as invariants
 from vstring.core import EMPTY, Nanoword, canonical_relabel, parse, shift
 from vstring.enumeration import all_nanowords, canonical_population
 from vstring.invariants import (
     BasedMatrix,
+    HeadTailMatrices,
     ReductionStep,
     UPolynomial,
     based_matrix,
@@ -151,6 +150,13 @@ class TestHeadTail:
         th = head_tail_matrices(EMPTY)
         assert th.tail.shape == (0, 0)
 
+    def test_caller_arrays_stay_apart(self):
+        tail, head = np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2), dtype=np.int64)
+        th = HeadTailMatrices(("A", "B"), tail, head[:])
+        assert tail.flags.writeable
+        head[0, 1] = 1
+        assert not th.head.any()
+
     @given(nanowords(max_rank=4))
     @settings(max_examples=50, deadline=None)
     def test_difference_is_linking(self, w):
@@ -186,30 +192,13 @@ class TestTHRealizable:
     def test_empty_pair(self):
         assert th_realizable(np.zeros((0, 0)), np.zeros((0, 0))) == EMPTY
 
-    def test_cached_matrices_survive_search(self):
-        # The search's throwaway words bypass the cache, so they evict nothing.
-        word = parse("ABCBCA|bab")
-        head_tail_matrices(word)
-        before = head_tail_matrices.cache_info()
+    def test_search_leaves_word_caches_alone(self):
+        # The search's throwaway words go through no per-word cache.
+        assert not hasattr(head_tail_matrices, "cache_info")
+        caches = (n_values, based_matrix, primitive_based_matrix)
+        before = [f.cache_info() for f in caches]
         assert th_realizable(*self.UNREALIZABLE) is None
-        assert head_tail_matrices.cache_info() == before
-        head_tail_matrices(word)
-        after = head_tail_matrices.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-
-    def test_cache_untouched_with_public_name_wrapped(self, monkeypatch):
-        # A profiler may rebind the public name to a wrapper of the cached
-        # function; the search must still bypass the cache.
-        cached = invariants.head_tail_matrices
-
-        @functools.wraps(cached)
-        def wrapper(alpha):
-            return cached(alpha)
-
-        monkeypatch.setattr(invariants, "head_tail_matrices", wrapper)
-        before = cached.cache_info()
-        assert th_realizable(*self.UNREALIZABLE) is None
-        assert cached.cache_info() == before
+        assert [f.cache_info() for f in caches] == before
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -259,6 +248,17 @@ class TestBasedMatrix:
             BasedMatrix(("s", "A"), np.array([[0, 1], [1, 0]]))  # not skew
         with pytest.raises(ValueError):
             BasedMatrix(("A", "s"), np.zeros((2, 2), dtype=int))  # s not first
+
+    def test_caller_array_left_writable(self):
+        a = np.array([[0, 1], [-1, 0]], dtype=np.int64)
+        BasedMatrix(("s", "A"), a)
+        assert a.flags.writeable
+
+    def test_caller_view_cannot_change_matrix(self):
+        base = np.array([[0, 1], [-1, 0]], dtype=np.int64)
+        m = BasedMatrix(("s", "A"), base[:])
+        base[0, 1] = 5
+        assert m.b("s", "A") == 1
 
     @given(nanowords(max_rank=4))
     @settings(max_examples=40, deadline=None)
@@ -343,6 +343,25 @@ class TestRho:
     @pytest.mark.parametrize("n", [5, 7, 8])
     def test_alpha_family(self, n):
         assert rho(gen_alpha_n(n)) == n
+
+
+class TestPrimitiveCache:
+    def test_second_call_same_object(self):
+        w = parse("ABCACB|aaa")
+        assert primitive_based_matrix(w) is primitive_based_matrix(w)
+
+    def test_pairing_read_only(self):
+        p = primitive_based_matrix(parse("ABABCDCD|aaaa"))
+        with pytest.raises(ValueError):
+            p.pairing[0, 1] = 5
+
+    def test_rho_is_one_cache_hit(self):
+        w = parse("ABCBDCAD|aabb")
+        primitive_based_matrix(w)
+        before = primitive_based_matrix.cache_info()
+        rho(w)
+        after = primitive_based_matrix.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 class TestBmIsomorphic:

@@ -222,6 +222,14 @@ class TestReduction:
         _assert_same_reduction(based_matrix(w), (seed,))
 
 
+class TestCachedPrimitive:
+    def test_population_rank_4(self):
+        for w in canonical_population(4):
+            expected = ref_reduce_to_primitive(based_matrix(w))[0]
+            assert primitive_based_matrix(w) == expected  # computed
+            assert primitive_based_matrix(w) == expected  # cached
+
+
 class TestIsomorphism:
     def test_permuted_copies(self):
         rng = random.Random(5)
