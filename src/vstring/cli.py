@@ -128,6 +128,12 @@ def _check_size(what: str, value: int, limit: int) -> None:
         raise ValueError(f"{what} {value} exceeds the limit {limit}")
 
 
+def _check_rank(max_rank: int, limit: int) -> None:
+    if max_rank < 0:
+        raise ValueError(f"max rank {max_rank} is negative")
+    _check_size("--max-rank", max_rank, limit)
+
+
 def _print_word(word: Nanoword, canonical: bool) -> None:
     print(canonical_relabel(word).text() if canonical else word.text())
 
@@ -165,7 +171,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_size("--max-rank", args.max_rank, MAX_VERIFY_RANK)
+    _check_rank(args.max_rank, MAX_VERIFY_RANK)
     if args.sample < 0:
         raise ValueError(f"--sample {args.sample} is negative")
     _check_size("--sample", args.sample, MAX_VERIFY_SAMPLE)
@@ -183,11 +189,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tabulate(args) -> int:
-    _check_size("--max-rank", args.max_rank, MAX_TABULATE_RANK)
-    records = tabulation_records(
-        args.max_rank, oracle=SearchBudget.from_env() if args.oracle else None
-    )
+    _check_rank(args.max_rank, MAX_TABULATE_RANK)
     with open(args.out, "w") as fh:
+        records = tabulation_records(
+            args.max_rank, oracle=SearchBudget.from_env() if args.oracle else None
+        )
         for record in records:
             fh.write(record_to_json(record) + "\n")
     print(f"wrote {len(records)} records to {args.out}")
@@ -195,9 +201,9 @@ def _cmd_tabulate(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    _check_size("--max-rank", args.max_rank, MAX_TABULATE_RANK)
-    graph = covering_graph(canonical_population(args.max_rank), args.r)
+    _check_rank(args.max_rank, MAX_TABULATE_RANK)
     with open(args.dot, "w") as fh:
+        graph = covering_graph(canonical_population(args.max_rank), args.r)
         fh.write(graph.to_dot())
     ok = all(graph.component_is_tree_with_root_loop(c) for c in graph.components())
     print(

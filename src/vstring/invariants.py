@@ -18,10 +18,11 @@ reductions (dropping an annihilating element, a core element, or a
 complementary pair) lead to a primitive based matrix, unique up to
 isomorphism, which is a homotopy invariant of the word.
 
-``n_values``, ``based_matrix`` and ``primitive_based_matrix`` (which ``rho``
-reads) cache per word, read-only, as the suites ask for words again.
-``head_tail_matrices`` does not: only ``based_matrix``'s misses and
-``th_realizable``'s throwaway words reach it.
+Two functions cache per word, read-only, as the suites ask for words again:
+``n_values`` and ``primitive_based_matrix`` (which ``rho`` reads).
+``based_matrix`` does not, because nearly all of its calls are misses of the
+primitive cache in front of it, and neither does ``head_tail_matrices``,
+which only ``based_matrix`` and ``th_realizable``'s throwaway words reach.
 """
 
 from __future__ import annotations
@@ -72,11 +73,16 @@ logger = logging.getLogger(__name__)
 SPECIAL = "s"
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A read-only int64 copy, so the caller's array can change neither way."""
-    a = np.array(a, dtype=np.int64)
-    a.setflags(write=False)
-    return a
+def _frozen(a) -> np.ndarray:
+    """A read-only int64 copy, so the caller's array can change neither way.
+
+    Raises ValueError if an entry is not an integer.
+    """
+    out = np.array(a, dtype=np.int64)
+    if getattr(a, "dtype", None) != np.int64 and not np.array_equal(out, a):
+        raise ValueError("matrix entries must be integers")
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +288,7 @@ def th_realizable(
     words of the matching rank, all type assignments and all orderings;
     ``cap`` bounds the rank accepted (the search is factorial).
     """
-    tail = np.asarray(tail, dtype=np.int64)
-    head = np.asarray(head, dtype=np.int64)
+    tail, head = _frozen(tail), _frozen(head)
     if tail.shape != head.shape or tail.ndim != 2 or tail.shape[0] != tail.shape[1]:
         raise ValueError("tail/head must be square matrices of equal size")
     k = tail.shape[0]
@@ -420,20 +425,25 @@ def _row_keys(rows: list[list[int]]) -> list[tuple[int, tuple[int, ...]]]:
     return [(row[0], tuple(sorted(row))) for row in rows[1:]]
 
 
-@lru_cache(maxsize=4096)
+def _bordered(
+    tags: Sequence[str], border: np.ndarray, inner: np.ndarray
+) -> BasedMatrix:
+    """The based matrix over s and ``tags`` with b(g, s) = border[g]."""
+    k = len(tags)
+    full = np.zeros((k + 1, k + 1), dtype=np.int64)
+    full[1:, 1:] = inner
+    full[1:, 0] = border
+    full[0, 1:] = -full[1:, 0]
+    return BasedMatrix((SPECIAL, *tags), full)
+
+
 def based_matrix(alpha: Nanoword) -> BasedMatrix:
     """Based matrix of a word: border n(g), inner block T - H + TH^t - HT^t."""
     th = head_tail_matrices(alpha)
     t, h = th.tail, th.head
-    inner = t - h + t @ h.T - h @ t.T
     nv = n_values(alpha)
     border = np.array([nv[x] for x in th.order], dtype=np.int64)
-    k = len(th.order)
-    full = np.zeros((k + 1, k + 1), dtype=np.int64)
-    full[1:, 1:] = inner
-    full[1:, 0] = border
-    full[0, 1:] = -border
-    return BasedMatrix((SPECIAL, *th.order), full)
+    return _bordered(th.order, border, t - h + t @ h.T - h @ t.T)
 
 
 @dataclass(frozen=True)
@@ -545,51 +555,28 @@ def composite_based_matrix(
     and n_beta; the mixed block D depends only on the letter types and the
     borders::
 
-        D[W, X] = 0                      |W| = |X| = a
-                = -n_beta(X)             |W| = b, |X| = a
-                = n_alpha(W)             |W| = a, |X| = b
-                = n_alpha(W) - n_beta(X) |W| = |X| = b
+        D[W, X] = [X has type b] n_alpha(W) - [W has type b] n_beta(X)
 
     It equals ``based_matrix(compose(alpha, beta))`` entrywise when the
     inputs are the word-derived matrices and letter types of the components.
     Beta's tags are suffixed when they clash with alpha's.
     """
-    a_tags = m_alpha.elements[1:]
-    b_tags = m_beta.elements[1:]
-    for tag in a_tags:
-        if tag not in types_alpha:
-            raise KeyError(f"missing letter type for element {tag!r}")
-    for tag in b_tags:
-        if tag not in types_beta:
-            raise KeyError(f"missing letter type for element {tag!r}")
-    ka, kb = len(a_tags), len(b_tags)
-    na = m_alpha.pairing[1:, 0]
-    nb = m_beta.pairing[1:, 0]
-    d = np.zeros((ka, kb), dtype=np.int64)
-    for i, wt in enumerate(types_alpha[t] for t in a_tags):
-        for j, xt in enumerate(types_beta[t] for t in b_tags):
-            if wt == TYPE_B and xt == TYPE_A:
-                d[i, j] = -nb[j]
-            elif wt == TYPE_A and xt == TYPE_B:
-                d[i, j] = na[i]
-            elif wt == TYPE_B and xt == TYPE_B:
-                d[i, j] = na[i] - nb[j]
-    k = 1 + ka + kb
-    full = np.zeros((k, k), dtype=np.int64)
-    full[1 : 1 + ka, 0] = na
-    full[1 + ka :, 0] = nb
-    full[0, 1:] = -full[1:, 0]
-    full[1 : 1 + ka, 1 : 1 + ka] = m_alpha.pairing[1:, 1:]
-    full[1 + ka :, 1 + ka :] = m_beta.pairing[1:, 1:]
-    full[1 : 1 + ka, 1 + ka :] = d
-    full[1 + ka :, 1 : 1 + ka] = -d.T
-    taken = {SPECIAL, *a_tags}
-    tags = (SPECIAL, *a_tags, *_unique_tags(b_tags, taken))
-    return BasedMatrix(tags, full)
+    a_tags, b_tags = m_alpha.elements[1:], m_beta.elements[1:]
+    for types, tags in ((types_alpha, a_tags), (types_beta, b_tags)):
+        for tag in tags:
+            if tag not in types:
+                raise KeyError(f"missing letter type for element {tag!r}")
+    is_b_a = np.array([types_alpha[t] == TYPE_B for t in a_tags], dtype=np.int64)
+    is_b_b = np.array([types_beta[t] == TYPE_B for t in b_tags], dtype=np.int64)
+    na, nb = m_alpha.pairing[1:, 0], m_beta.pairing[1:, 0]
+    d = np.outer(na, is_b_b) - np.outer(is_b_a, nb)
+    inner = np.block([[m_alpha.pairing[1:, 1:], d], [-d.T, m_beta.pairing[1:, 1:]]])
+    tags = (*a_tags, *_unique_tags(b_tags, {SPECIAL, *a_tags}))
+    return _bordered(tags, np.concatenate([na, nb]), inner)
 
 
 def cable_reduced_based_matrix(p: BasedMatrix, n: int) -> BasedMatrix:
-    """The cable counterpart of a based matrix, built element-wise.
+    """The cable counterpart of a based matrix, built from whole blocks.
 
     Each non-special element X yields n^2 copies X.i.j and the construction
     adds n-1 join elements C.k, with::
@@ -600,44 +587,24 @@ def cable_reduced_based_matrix(p: BasedMatrix, n: int) -> BasedMatrix:
         b(X.i.j, C.k)   = (n-1-k) n(X)
         b(C.i, C.j)     = 0
 
-    When ``p`` is the primitive based matrix of a word, reducing this matrix
-    to primitive gives (up to isomorphism) the primitive based matrix of the
-    word's n-cable.
+    No tag clashes: the last two dot-fields of X.i.j give back (X, i, j), and
+    C.k has one dot-field fewer than any copy tag.  When ``p`` is the
+    primitive based matrix of a word, reducing this matrix to primitive gives
+    (up to isomorphism) the primitive based matrix of the word's n-cable.
     """
     if n < 1:
         raise ValueError(f"cable width must be >= 1, got {n}")
-    rows = p.pairing.tolist()
-    taken = {SPECIAL}
-    copies: list[tuple[int, int, int]] = []  # (row of X in p, i, j) per X.i.j
-    tags: list[str] = [SPECIAL]
-    for x_idx, x in enumerate(p.elements[1:], 1):
-        for i in range(n):
-            for j in range(n):
-                tags.append(_unique_tags([f"{x}.{i}.{j}"], taken)[0])
-                copies.append((x_idx, i, j))
-    joins: list[tuple[str, int]] = []
-    for kk in range(n - 1):
-        tag = _unique_tags([f"C.{kk}"], taken)[0]
-        tags.append(tag)
-        joins.append((tag, kk))
-    size = len(tags)
-    full = np.zeros((size, size), dtype=np.int64)
-    nc = len(copies)
-    for a_idx, (x, i, j) in enumerate(copies):
-        row = 1 + a_idx
-        nx = rows[x][0]
-        full[row, 0] = n * nx
-        for b_idx in range(a_idx + 1, nc):
-            y, kk, ll = copies[b_idx]
-            v = rows[x][y] + ((ll - kk) % n) * nx - ((j - i) % n) * rows[y][0]
-            full[row, 1 + b_idx] = v
-            full[1 + b_idx, row] = -v
-        for c_idx, (_, kk) in enumerate(joins):
-            v = (n - 1 - kk) * nx
-            full[row, 1 + nc + c_idx] = v
-            full[1 + nc + c_idx, row] = -v
-    full[0, 1:] = -full[1:, 0]
-    return BasedMatrix(tuple(tags), full)
+    base = p.elements[1:]
+    # X (as an index into base), i and j of each copy X.i.j, in tag order.
+    x, i, j = np.unravel_index(np.arange(len(base) * n * n), (len(base), n, n))
+    nx, delta = p.pairing[1:, 0][x], (j - i) % n
+    copies = p.pairing[1:, 1:][np.ix_(x, x)] + np.outer(nx, delta) - np.outer(delta, nx)
+    joins = np.outer(nx, n - 1 - np.arange(n - 1))
+    inner = np.block([[copies, joins], [-joins.T, np.zeros((n - 1, n - 1), np.int64)]])
+    border = np.concatenate([n * nx, np.zeros(n - 1, np.int64)])
+    tags = [f"{tag}.{a}.{b}" for tag in base for a in range(n) for b in range(n)]
+    tags += [f"C.{k}" for k in range(n - 1)]
+    return _bordered(tags, border, inner)
 
 
 # ---------------------------------------------------------------------------

@@ -53,16 +53,17 @@ def _divisible(value: int, r: int) -> bool:
 def covering(alpha: Nanoword, r: int) -> Nanoword:
     """The r-covering: the subword of letters X with n(X) divisible by r.
 
-    ``r = 1`` returns the word unchanged; ``r = 0`` keeps exactly the letters
-    of weight zero.  Since the weights sum to zero, a covering never removes
-    exactly one letter.
+    A covering that keeps every letter (always so for ``r = 1``) returns the
+    word itself, which it fixes; ``r = 0`` keeps exactly the letters of weight
+    zero.  Since the weights sum to zero, a covering never removes exactly one
+    letter.
     """
     if r < 0:
         raise ValueError(f"covering index must be >= 0, got {r}")
-    if r == 1:
-        return alpha
     nv = n_values(alpha)
     keep = {x for x in alpha.letters if _divisible(nv[x], r)}
+    if len(keep) == alpha.rank:
+        return alpha
     return Nanoword(
         (x for x in alpha.word if x in keep),
         {x: alpha.type_of(x) for x in keep},

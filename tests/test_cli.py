@@ -222,6 +222,25 @@ class TestSizeGuards:
         assert "exceeds the limit" in err
         assert out == "" and not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv,builder",
+        [
+            (("tabulate", "--max-rank", "5", "--out"), "tabulation_records"),
+            (("graph", "--max-rank", "5", "-r", "2", "--dot"), "covering_graph"),
+        ],
+    )
+    def test_output_opened_before_building(
+        self, capsys, monkeypatch, tmp_path, argv, builder
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{builder} called before the output was opened")
+
+        monkeypatch.setattr(cli, builder, refuse)
+        code, out, err = run(capsys, *argv, str(tmp_path / "missing" / "out"))
+        assert code == 1
+        assert "No such file or directory" in err
+        assert out == ""
+
     def test_limit_itself_accepted(self, capsys):
         code, out, _ = run(capsys, "rdot", "AA|a", "-r", str(cli.MAX_WORD_RANK))
         assert code == 0

@@ -150,6 +150,10 @@ class TestHeadTail:
         th = head_tail_matrices(EMPTY)
         assert th.tail.shape == (0, 0)
 
+    def test_fractional_entries_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            HeadTailMatrices(("A", "B"), [[0, 0.7], [0, 0]], np.zeros((2, 2)))
+
     def test_caller_arrays_stay_apart(self):
         tail, head = np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2), dtype=np.int64)
         th = HeadTailMatrices(("A", "B"), tail, head[:])
@@ -195,7 +199,8 @@ class TestTHRealizable:
     def test_search_leaves_word_caches_alone(self):
         # The search's throwaway words go through no per-word cache.
         assert not hasattr(head_tail_matrices, "cache_info")
-        caches = (n_values, based_matrix, primitive_based_matrix)
+        assert not hasattr(based_matrix, "cache_info")
+        caches = (n_values, primitive_based_matrix)
         before = [f.cache_info() for f in caches]
         assert th_realizable(*self.UNREALIZABLE) is None
         assert [f.cache_info() for f in caches] == before
@@ -203,6 +208,12 @@ class TestTHRealizable:
     def test_cap(self):
         with pytest.raises(ValueError):
             th_realizable(np.zeros((6, 6)), np.zeros((6, 6)), cap=5)
+
+    def test_fractional_entries_rejected(self):
+        # Truncated to int64, [[0, 0.5], [0, 0]] would pass as the zero
+        # matrix and realize ABBA|ba.
+        with pytest.raises(ValueError, match="integers"):
+            th_realizable([[0, 0.5], [0, 0]], np.zeros((2, 2)))
 
     def test_harvested_matrices_permuted(self):
         th = head_tail_matrices(parse("ABCACB|aaa"))
@@ -248,6 +259,12 @@ class TestBasedMatrix:
             BasedMatrix(("s", "A"), np.array([[0, 1], [1, 0]]))  # not skew
         with pytest.raises(ValueError):
             BasedMatrix(("A", "s"), np.zeros((2, 2), dtype=int))  # s not first
+
+    def test_fractional_entries_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            BasedMatrix(("s", "A"), [[0, 0.7], [-0.7, 0]])
+        # Integral floats are integers.
+        assert BasedMatrix(("s", "A"), [[0, 2.0], [-2.0, 0]]).b("s", "A") == 2
 
     def test_caller_array_left_writable(self):
         a = np.array([[0, 1], [-1, 0]], dtype=np.int64)
@@ -438,6 +455,8 @@ class TestCompositeBasedMatrix:
         b = parse("ABAB|ab")
         with pytest.raises(KeyError):
             composite_based_matrix(based_matrix(b), {"A": "a"}, based_matrix(b), b.types())
+        with pytest.raises(KeyError, match="'A'"):
+            composite_based_matrix(based_matrix(b), b.types(), based_matrix(b), {"B": "b"})
 
 
 class TestCableReducedBasedMatrix:

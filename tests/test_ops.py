@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vstring.core import EMPTY, canonical_relabel, isomorphic, parse
+from vstring.enumeration import canonical_population
 from vstring.invariants import n_values, rho, u_polynomial
 from vstring.ops import (
     cable,
@@ -39,6 +40,16 @@ class TestCovering:
     def test_zero_cover_keeps_weightless(self):
         a5 = gen_alpha_n(5)
         assert covering(a5, 0) == a5
+
+    def test_word_returned_when_every_letter_kept(self):
+        seen = set()
+        for w in canonical_population(3):
+            nv = n_values(w)
+            for r in range(5):
+                kept_all = all(v == 0 if r == 0 else v % r == 0 for v in nv.values())
+                assert (covering(w, r) is w) == kept_all
+                seen.add(kept_all)
+        assert seen == {True, False}
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

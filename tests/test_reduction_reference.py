@@ -3,10 +3,11 @@
 The reference functions below are the straightforward numpy forms: the
 reduction rescans every row and every pair of rows after each removal and
 builds a new matrix per step, the isomorphism test compares two private key
-lists, and the cable matrix looks each pairing entry up by element tag.  The
-library works on plain integer rows and must give the same primitive matrix,
-the same reduction steps (also under a seeded random choice), the same
-isomorphism verdicts and the same cable matrices.
+lists, and the composite and cable matrices are filled one entry at a time
+from the case tables.  The library works on plain integer rows and whole
+matrix expressions and must give the same primitive matrix, the same
+reduction steps (also under a seeded random choice), the same isomorphism
+verdicts and the same composite and cable matrices.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vstring.core import parse
+from vstring.core import TYPE_A, TYPE_B, parse
 from vstring.enumeration import canonical_population, sample_nanowords
 from vstring.invariants import (
     SPECIAL,
@@ -163,6 +164,41 @@ def ref_cable_reduced_based_matrix(p: BasedMatrix, n: int) -> BasedMatrix:
     return BasedMatrix(tuple(tags), full)
 
 
+def ref_composite_based_matrix(m_alpha, types_alpha, m_beta, types_beta):
+    a_tags = m_alpha.elements[1:]
+    b_tags = m_beta.elements[1:]
+    for tag in a_tags:
+        if tag not in types_alpha:
+            raise KeyError(f"missing letter type for element {tag!r}")
+    for tag in b_tags:
+        if tag not in types_beta:
+            raise KeyError(f"missing letter type for element {tag!r}")
+    ka, kb = len(a_tags), len(b_tags)
+    na = m_alpha.pairing[1:, 0]
+    nb = m_beta.pairing[1:, 0]
+    d = np.zeros((ka, kb), dtype=np.int64)
+    for i, wt in enumerate(types_alpha[t] for t in a_tags):
+        for j, xt in enumerate(types_beta[t] for t in b_tags):
+            if wt == TYPE_B and xt == TYPE_A:
+                d[i, j] = -nb[j]
+            elif wt == TYPE_A and xt == TYPE_B:
+                d[i, j] = na[i]
+            elif wt == TYPE_B and xt == TYPE_B:
+                d[i, j] = na[i] - nb[j]
+    k = 1 + ka + kb
+    full = np.zeros((k, k), dtype=np.int64)
+    full[1 : 1 + ka, 0] = na
+    full[1 + ka :, 0] = nb
+    full[0, 1:] = -full[1:, 0]
+    full[1 : 1 + ka, 1 : 1 + ka] = m_alpha.pairing[1:, 1:]
+    full[1 + ka :, 1 + ka :] = m_beta.pairing[1:, 1:]
+    full[1 : 1 + ka, 1 + ka :] = d
+    full[1 + ka :, 1 : 1 + ka] = -d.T
+    taken = {SPECIAL, *a_tags}
+    tags = (SPECIAL, *a_tags, *_unique_tags(b_tags, taken))
+    return BasedMatrix(tags, full)
+
+
 def _composites() -> list[BasedMatrix]:
     words = [w for w in canonical_population(2) if w.rank]
     out = []
@@ -262,10 +298,25 @@ class TestIsomorphism:
             assert m.signature() == ref_signature(m)
 
 
+class TestCompositeReference:
+    @pytest.mark.parametrize("matrix", [based_matrix, primitive_based_matrix])
+    def test_entrywise(self, matrix):
+        words = canonical_population(3)
+        for a, b in itertools.product(words, repeat=2):
+            args = (matrix(a), a.types(), matrix(b), b.types())
+            assert composite_based_matrix(*args) == ref_composite_based_matrix(*args)
+        assert len(words) ** 2 == 784
+
+
 class TestCableReducedReference:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_entrywise(self, n):
         for w in canonical_population(3):
             for m in (based_matrix(w), primitive_based_matrix(w)):
                 got = cable_reduced_based_matrix(m, n)
                 assert got == ref_cable_reduced_based_matrix(m, n)
+        composites = _composites()
+        assert any("_" in tag for m in composites for tag in m.elements)
+        for m in composites:
+            got = cable_reduced_based_matrix(m, n)
+            assert got == ref_cable_reduced_based_matrix(m, n)
