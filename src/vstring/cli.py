@@ -10,10 +10,10 @@ Exit codes: 0 for success (including an "unknown" equivalence verdict), 1 for
 usage or input errors, 2 when a verification suite fails.  The environment
 variable ``VSTRING_BUDGET`` ("rank_increase,max_states,max_depth") overrides
 the default search budget.  Requests whose size would explode are rejected
-with exit code 1 before any work: ``cable``, ``rdot`` and ``gen`` results
-above rank ``MAX_WORD_RANK``, ``--max-rank`` above ``MAX_TABULATE_RANK``
-(``tabulate``, ``graph``) or ``MAX_VERIFY_RANK`` (``verify``), and a
-``verify --sample`` below 0 or above ``MAX_VERIFY_SAMPLE``.
+with exit code 1 before any work: ``cable``, ``rdot``, ``preimage`` and
+``gen`` results above rank ``MAX_WORD_RANK``, ``--max-rank`` above
+``MAX_TABULATE_RANK`` (``tabulate``, ``graph``) or ``MAX_VERIFY_RANK``
+(``verify``), and a ``verify --sample`` below 0 or above ``MAX_VERIFY_SAMPLE``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .core import MoveTrace, Nanoword, NanowordError, canonical_relabel, parse
 from .enumeration import canonical_population
-from .invariants import invariant_bundle, u_polynomial
+from .invariants import invariant_bundle, n_values, u_polynomial
 from .ops import cable, compose, covering, gen_alpha_n, gen_gamma_pq, r_dot, uncover_preimage
 from .search import SearchBudget, covering_graph, equivalent_bounded, reduce_bounded
 from .suites import SUITES, run_suite
@@ -33,7 +33,8 @@ from .tabulate import tabulation_records, record_to_json
 
 __all__ = ["main", "build_parser"]
 
-#: Largest rank of a word that ``cable``, ``rdot`` and ``gen`` will build.
+#: Largest rank of a word that ``cable``, ``rdot``, ``preimage`` and ``gen``
+#: will build.
 MAX_WORD_RANK = 10_000
 #: Largest ``--max-rank`` that ``tabulate`` and ``graph`` will enumerate;
 #: the raw word count grows factorially with the rank.
@@ -190,10 +191,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_tabulate(args) -> int:
     _check_rank(args.max_rank, MAX_TABULATE_RANK)
+    oracle = SearchBudget.from_env() if args.oracle else None
     with open(args.out, "w") as fh:
-        records = tabulation_records(
-            args.max_rank, oracle=SearchBudget.from_env() if args.oracle else None
-        )
+        records = tabulation_records(args.max_rank, oracle=oracle)
         for record in records:
             fh.write(record_to_json(record) + "\n")
     print(f"wrote {len(records)} records to {args.out}")
@@ -202,6 +202,8 @@ def _cmd_tabulate(args) -> int:
 
 def _cmd_graph(args) -> int:
     _check_rank(args.max_rank, MAX_TABULATE_RANK)
+    if args.r < 0:
+        raise ValueError(f"covering index must be >= 0, got {args.r}")
     with open(args.dot, "w") as fh:
         graph = covering_graph(canonical_population(args.max_rank), args.r)
         fh.write(graph.to_dot())
@@ -235,7 +237,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             _print_word(r_dot(word, args.r), canonical=True)
             return 0
         if args.command == "preimage":
-            _print_word(uncover_preimage(parse(args.word), args.r), canonical=True)
+            word = parse(args.word)
+            padding = sum(abs(v) for v in n_values(word).values())
+            _check_size("preimage rank", word.rank + padding, MAX_WORD_RANK)
+            _print_word(uncover_preimage(word, args.r), canonical=True)
             return 0
         if args.command == "gen":
             rank = args.p + args.q if args.family == "gamma" else args.n

@@ -120,6 +120,19 @@ class TestCriterion2InvariantValues:
         report("criterion-2 invariant values (exact)", bool(ok))
 
 
+#: Instances of each suite at these settings, which are also the defaults of
+#: ``vstring verify all --seed 7``.
+C3_INSTANCES = {
+    "composite-bm": 80,
+    "cover-cable-commute": 2508,
+    "move-invariance": 7299,
+    "reduction-confluence": 3400,
+    "rho-bounds": 529,
+    "structural": 2640,
+    "u-cable": 456,
+}
+
+
 class TestCriterion3TheoremSuites:
     """Exhaustive rank <= 3 population plus a 200-word fixed-seed sample."""
 
@@ -131,6 +144,9 @@ class TestCriterion3TheoremSuites:
             f"{suite_report.passed}/{suite_report.total} instances",
             suite_report.failed == 0,
         )
+        count = C3_INSTANCES[name]
+        assert suite_report.summary() == f"{name}: {count}/{count} instances pass [ok]"
+        assert sorted(C3_INSTANCES) == sorted(SUITES)
 
 
 class TestCriterion4Nontriviality:

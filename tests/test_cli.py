@@ -1,13 +1,18 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from vstring import cli
 from vstring.cli import main
 from vstring.core import parse
+from vstring.enumeration import canonical_population
 from vstring.invariants import invariant_bundle
+from vstring.ops import cable, gen_gamma_pq
 from vstring.tabulate import record_for, record_to_json, tabulation_records
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -31,6 +36,16 @@ class TestCompute:
             json.dumps(invariant_bundle(parse("ABCACB|aaa")), sort_keys=True)
         )
         assert data["u_polynomial"] == [[1, -2], [2, 1]]
+
+    def test_json_fingerprint(self, capsys):
+        words = [x for w in canonical_population(3) for x in (w, cable(w, 2))]
+        codes = [main(["compute", x.text(), "--json"]) for x in words]
+        data = capsys.readouterr().out.encode()
+        assert codes == [0] * len(codes)
+        assert data.count(b"\n") == 56
+        assert hashlib.sha256(data).hexdigest() == (
+            "b326b6e78a3150e89fe810d42b68a1109380e7f24a3df06f9357cd7ad8832bcd"
+        )
 
     def test_parse_error_exit_one(self, capsys):
         code, _, err = run(capsys, "compute", "ABA|aa")
@@ -108,12 +123,34 @@ class TestSearchCommands:
         assert code == 0
         assert out.splitlines()[0] == "unknown"
 
+    @pytest.mark.parametrize(
+        "seed,lines,digest",
+        [
+            (11, 30, "782eca3c5fe9c16830a4ce7d6f948f4be108bd57bd36c730b23edb4da36e76f0"),
+            (12, 32, "c7adb9113794746a7367965b34ab180f01a2f5fd73975a3d90955ae76b385ecc"),
+        ],
+        ids=["seed-11", "seed-12"],
+    )
+    def test_benchmark_queries_fingerprint(
+        self, capsys, monkeypatch, seed, lines, digest
+    ):
+        # The nine queries of the search-trivial benchmark workload.
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        monkeypatch.delenv("VSTRING_BUDGET", raising=False)
+        from workloads import search_queries
+
+        codes = [main(args) for _, args, _ in search_queries(seed)]
+        data = capsys.readouterr().out.encode()
+        assert codes == [0] * 9
+        assert data.count(b"\n") == lines
+        assert hashlib.sha256(data).hexdigest() == digest
+
 
 class TestVerify:
     def test_passing_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "u-cable", "--max-rank", "2", "--sample", "10")
         assert code == 0
-        assert "instances pass [ok]" in out
+        assert out.splitlines() == ["u-cable: 32/32 instances pass [ok]"]
 
     def test_unknown_suite_usage_error(self, capsys):
         with pytest.raises(SystemExit):
@@ -144,14 +181,20 @@ class TestTabulate:
         canonicals = [json.loads(line)["canonical"] for line in lines]
         assert canonicals == sorted(canonicals)
 
-    def test_rank_4_fingerprint(self, tmp_path, capsys):
-        out = tmp_path / "r4.jsonl"
-        assert run(capsys, "tabulate", "--max-rank", "4", "--out", str(out))[0] == 0
+    @pytest.mark.parametrize(
+        "rank,lines,digest",
+        [
+            (4, 246, "960db869fee400c7840bfef4c210a627db3bb8451222d44b777959eac0fbb00b"),
+            (5, 3274, "fc384d59c9c3d12d35a19098b21b5845b8b8908885cf7c524c1b903de420dca7"),
+        ],
+        ids=["r4", "r5"],
+    )
+    def test_fingerprint(self, tmp_path, capsys, rank, lines, digest):
+        out = tmp_path / "t.jsonl"
+        assert run(capsys, "tabulate", "--max-rank", str(rank), "--out", str(out))[0] == 0
         data = out.read_bytes()
-        assert data.count(b"\n") == 246
-        assert hashlib.sha256(data).hexdigest() == (
-            "960db869fee400c7840bfef4c210a627db3bb8451222d44b777959eac0fbb00b"
-        )
+        assert data.count(b"\n") == lines
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_reingest_bit_identical(self, tmp_path, capsys):
         out = tmp_path / "t.jsonl"
@@ -207,6 +250,8 @@ class TestSizeGuards:
             (("verify", "structural", "--max-rank", "6"), "run_suite"),
             (("verify", "structural", "--sample", "1001"), "run_suite"),
             (("verify", "all", "--sample", "100000"), "run_suite"),
+            # rank 200 + sum |n(X)| 20,000 = 20,200
+            (("preimage", gen_gamma_pq(100, 100).text(), "-r", "2"), "uncover_preimage"),
         ],
     )
     def test_rejected_before_building(
@@ -248,6 +293,38 @@ class TestSizeGuards:
         code, _, err = run(capsys, "rdot", "AA|a", "-r", str(cli.MAX_WORD_RANK + 1))
         assert code == 1
         assert "r-dot rank 10001 exceeds the limit 10000" in err
+        # rank 3,334 + sum |n(X)| 6,666 = 10,000
+        code, out, _ = run(capsys, "preimage", gen_gamma_pq(1, 3333).text(), "-r", "2")
+        assert code == 0
+        assert parse(out.strip()).rank == cli.MAX_WORD_RANK
+
+    @pytest.mark.parametrize(
+        "argv,budget,message",
+        [
+            (
+                ("graph", "--max-rank", "2", "-r", "-1", "--dot", "out"),
+                None,
+                "covering index must be >= 0, got -1",
+            ),
+            (
+                ("tabulate", "--max-rank", "2", "--out", "out", "--oracle"),
+                "1,2",
+                "expected 3 comma-separated integers",
+            ),
+        ],
+        ids=["graph-negative-r", "tabulate-bad-budget"],
+    )
+    def test_bad_arguments_keep_existing_output(
+        self, capsys, monkeypatch, tmp_path, argv, budget, message
+    ):
+        if budget is not None:
+            monkeypatch.setenv("VSTRING_BUDGET", budget)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").write_text("keep")
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert message in err
+        assert out == "" and (tmp_path / "out").read_text() == "keep"
 
     @pytest.mark.parametrize(
         "argv",

@@ -10,7 +10,9 @@ reduction steps (also under a seeded random choice), the same isomorphism
 verdicts and the same composite and cable matrices.
 """
 
+import hashlib
 import itertools
+import json
 import random
 
 import numpy as np
@@ -320,3 +322,24 @@ class TestCableReducedReference:
         for m in composites:
             got = cable_reduced_based_matrix(m, n)
             assert got == ref_cable_reduced_based_matrix(m, n)
+
+
+def test_formula_fingerprint():
+    words = canonical_population(3)
+    matrices = [
+        composite_based_matrix(based_matrix(a), a.types(), based_matrix(b), b.types())
+        for a in words
+        for b in words
+    ]
+    matrices += [
+        cable_reduced_based_matrix(m, n)
+        for w in words
+        for m in (based_matrix(w), primitive_based_matrix(w))
+        for n in (1, 2, 3)
+    ]
+    data = "".join(json.dumps(m.to_json(), sort_keys=True) + "\n" for m in matrices)
+    data = data.encode()
+    assert data.count(b"\n") == 952
+    assert hashlib.sha256(data).hexdigest() == (
+        "81aa73f862ad0ceb4e912487aea8edbb22d268a0846f961e6946b343284f86ed"
+    )
