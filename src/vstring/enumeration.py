@@ -2,15 +2,18 @@
 
 Gauss words of rank n in standard form (letters named A, B, C, ... in order
 of first occurrence) are enumerated by the usual open/close recursion; there
-are (2n-1)!! of them.  Crossing them with all 2^n type assignments and
-deduplicating by the shift-orbit canonical form gives the desk-scale
-populations used by the property suites and the tabulator.
+are (2n-1)!! of them, and with all 2^n type assignments they give every
+nanoword of rank n.  A shift rotates the Gauss word by one place and flips
+one type, so each shift orbit meets every rotation of its Gauss word under
+some type assignment.  The desk-scale populations used by the property suites
+and the tabulator therefore cross one Gauss word per rotation class with all
+2^n type assignments and deduplicate by the shift-orbit canonical form.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import (
     TYPE_A,
@@ -57,16 +60,29 @@ def standard_gauss_words(rank: int) -> Iterator[tuple[str, ...]]:
     yield from build([], [], 0)
 
 
+def _with_all_types(words: Iterable[tuple[str, ...]], rank: int) -> Iterator[tuple]:
+    """Each standard Gauss word of the given rank with each of its 2^rank type maps."""
+    letters = sorted(fresh_names((), rank))
+    for word in words:
+        for mask in range(2 ** rank):
+            yield word, {x: TYPE_B if (mask >> i) & 1 else TYPE_A for i, x in enumerate(letters)}
+
+
 def all_nanowords(rank: int) -> Iterator[Nanoword]:
     """Every nanoword of the given rank in standard letter names."""
-    for word in standard_gauss_words(rank):
-        letters = sorted(set(word))
-        for mask in range(2 ** rank):
-            types = {
-                x: (TYPE_B if (mask >> i) & 1 else TYPE_A)
-                for i, x in enumerate(letters)
-            }
-            yield Nanoword(word, types)
+    for word, types in _with_all_types(standard_gauss_words(rank), rank):
+        yield Nanoword(word, types)
+
+
+def _least_rotation(word: tuple[str, ...]) -> bool:
+    """True iff no rotation of ``word``, renamed in first-occurrence order, is smaller."""
+    names = dict.fromkeys(word)
+    for k in range(1, len(word)):
+        rotated = word[k:] + word[:k]
+        renamed = dict(zip(dict.fromkeys(rotated), names))
+        if tuple([renamed[x] for x in rotated]) < word:
+            return False
+    return True
 
 
 def canonical_population(max_rank: int) -> list[Nanoword]:
@@ -74,13 +90,18 @@ def canonical_population(max_rank: int) -> list[Nanoword]:
 
     Includes the empty word.  Deduplication is by the shift-orbit canonical
     form only (words homotopic through H-moves stay distinct).  A negative
-    ``max_rank`` raises ValueError.
+    ``max_rank`` raises ValueError.  A shift rotates the Gauss word and flips
+    one type, so the Gauss words least among their rotations (1, 2, 5, 18,
+    105, 902 at ranks 1-6), under all type maps, meet every orbit; only
+    those words are keyed.
     """
     if max_rank < 0:
         raise ValueError(f"max rank {max_rank} is negative")
     seen: dict[str, Nanoword] = {"0": EMPTY}
     for rank in range(1, max_rank + 1):
-        for w in all_nanowords(rank):
+        gauss = filter(_least_rotation, standard_gauss_words(rank))
+        for word, types in _with_all_types(gauss, rank):
+            w = Nanoword(word, types, _trusted=True)
             key = shift_canonical_text(w)
             if key not in seen:
                 seen[key] = shift_canonical(w)
@@ -100,11 +121,9 @@ def sample_nanowords(
         names = fresh_names((), rank)
         seq = [names[i // 2] for i in range(2 * rank)]
         rng.shuffle(seq)
-        word = canonical_relabel(
-            Nanoword(seq, {x: TYPE_A for x in names})
-        )
+        word = canonical_relabel(Nanoword(tuple(seq), dict.fromkeys(names, TYPE_A), _trusted=True))
         types = {x: rng.choice((TYPE_A, TYPE_B)) for x in word.letters}
-        w = Nanoword(word.word, types)
+        w = Nanoword(word.word, types, _trusted=True)
         key = shift_canonical_text(w)
         if key not in seen:
             seen[key] = shift_canonical(w)

@@ -61,13 +61,10 @@ def covering(alpha: Nanoword, r: int) -> Nanoword:
     if r < 0:
         raise ValueError(f"covering index must be >= 0, got {r}")
     nv = n_values(alpha)
-    keep = {x for x in alpha.letters if _divisible(nv[x], r)}
-    if len(keep) == alpha.rank:
+    types = {x: alpha.type_of(x) for x in alpha.letters if _divisible(nv[x], r)}
+    if len(types) == alpha.rank:
         return alpha
-    return Nanoword(
-        (x for x in alpha.word if x in keep),
-        {x: alpha.type_of(x) for x in keep},
-    )
+    return Nanoword(tuple([x for x in alpha.word if x in types]), types, _trusted=True)
 
 
 def compose(alpha: Nanoword, beta: Nanoword) -> Nanoword:

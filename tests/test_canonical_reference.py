@@ -1,11 +1,12 @@
-"""Differential tests of shift canonicalisation and name allocation.
+"""Differential tests of shift canonicalisation, populations and name allocation.
 
 The reference functions below are the straightforward forms.  One builds
 every word of the shift orbit, relabels each one and compares printed forms;
 the other prints the relabelling of every rotation of the letter tuple and
 takes the least (text, k).  The library finds the least rotation on integer
 labels, drops each rotation at its first larger label, and prints only the
-winner.
+winner.  The population reference keys every raw word of each rank; the
+library keys only one Gauss word per rotation class.
 """
 
 import random
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vstring.core import (
+    EMPTY,
     Nanoword,
     _relabelled_shift,
     _shift_canonical_key,
@@ -27,7 +29,12 @@ from vstring.core import (
     shift_orbit,
     shifts_to_canonical,
 )
-from vstring.enumeration import all_nanowords, canonical_population
+from vstring.enumeration import (
+    _least_rotation,
+    all_nanowords,
+    canonical_population,
+    standard_gauss_words,
+)
 from vstring.ops import cable, r_dot
 
 
@@ -71,6 +78,27 @@ def ref_rotation_text_min(alpha: Nanoword) -> tuple[str, int]:
     )
 
 
+def ref_canonical_population(max_rank: int) -> list[Nanoword]:
+    seen: dict[str, Nanoword] = {"0": EMPTY}
+    for rank in range(1, max_rank + 1):
+        for w in all_nanowords(rank):
+            key = shift_canonical_text(w)
+            if key not in seen:
+                seen[key] = shift_canonical(w)
+    return [seen[k] for k in sorted(seen)]
+
+
+def ref_least_rotation(word: tuple[str, ...]) -> tuple[str, ...]:
+    rotations = []
+    for k in range(len(word)):
+        rotated = word[k:] + word[:k]
+        mapping: dict[str, str] = {}
+        for name in rotated:
+            mapping.setdefault(name, _ref_canonical_name(len(mapping)))
+        rotations.append(tuple(mapping[name] for name in rotated))
+    return min(rotations)
+
+
 def ref_continuation_names(used, count: int) -> list[str]:
     taken = set(used)
     singles = [ord(u) for u in taken if len(u) == 1]
@@ -105,6 +133,25 @@ def assert_matches_reference(w: Nanoword) -> None:
 def test_every_raw_word_up_to_rank_4(rank):
     for w in all_nanowords(rank):
         assert_matches_reference(w)
+
+
+@pytest.mark.parametrize("max_rank", range(5))
+def test_population_matches_reference(max_rank):
+    assert canonical_population(max_rank) == ref_canonical_population(max_rank)
+
+
+@pytest.mark.parametrize("rank,kept", [(1, 1), (2, 2), (3, 5), (4, 18), (5, 105)])
+def test_one_gauss_word_per_rotation_class(rank, kept):
+    # The counts are OEIS A007769, chord diagrams up to rotation.
+    words = list(standard_gauss_words(rank))
+    least = [w for w in words if _least_rotation(w)]
+    assert len(least) == kept
+    assert set(least) == {ref_least_rotation(w) for w in words}
+
+
+def test_negative_population_rank_rejected():
+    with pytest.raises(ValueError, match="max rank -1 is negative"):
+        canonical_population(-1)
 
 
 def half_turn_word(rank: int, seed: int, swap: int) -> Nanoword:

@@ -23,6 +23,8 @@ from vstring.core import (
     shift_inv,
     shift_orbit,
 )
+from vstring.enumeration import canonical_population, sample_nanowords
+from vstring.ops import covering
 
 
 @st.composite
@@ -245,6 +247,7 @@ def named_nanowords(draw, max_rank=5):
 def assert_same_as_validated(w):
     """``w`` equals the word the checking constructor builds from its parts."""
     ref = Nanoword(w.word, w.types())
+    assert type(w.word) is tuple
     assert w.letters == ref.letters
     assert all(w.occurrences(x) == ref.occurrences(x) for x in ref.letters)
     assert w.types() == ref.types()
@@ -263,6 +266,12 @@ class TestTrustedConstruction:
         for kind in MoveKind:
             for site in find_sites(w, kind, max_sites=6):
                 assert_same_as_validated(apply_move(w, site))
+        for r in range(5):
+            assert_same_as_validated(covering(w, r))
+
+    def test_enumerated_words_equal_validated_words(self):
+        for w in sample_nanowords((4, 5), 30, seed=5) + canonical_population(4):
+            assert_same_as_validated(w)
 
     @pytest.mark.parametrize(
         "kind,slots,types,letters,message",
