@@ -782,7 +782,8 @@ def relabel_disjoint(
     new = continuation_names(set(used) | set(order), len(order))
     mapping = dict(zip(order, new))
     renamed = Nanoword(
-        (mapping[x] for x in beta.word),
+        tuple([mapping[x] for x in beta.word]),
         {mapping[x]: beta.type_of(x) for x in order},
+        _trusted=True,
     )
     return renamed, mapping

@@ -21,8 +21,11 @@ isomorphism, which is a homotopy invariant of the word.
 Two functions cache per word, read-only, as the suites ask for words again:
 ``n_values`` and ``primitive_based_matrix`` (which ``rho`` reads).
 ``based_matrix`` does not, because nearly all of its calls are misses of the
-primitive cache in front of it, and neither does ``head_tail_matrices``,
-which only ``based_matrix`` and ``th_realizable``'s throwaway words reach.
+primitive cache in front of it.  It and ``th_realizable`` compute the tail
+and head matrices without the checked ``HeadTailMatrices`` that
+``head_tail_matrices`` returns, and the based matrices built here skip the
+checks of ``BasedMatrix``, which they meet by construction; every pairing
+is still a read-only copy.
 """
 
 from __future__ import annotations
@@ -85,6 +88,12 @@ def _frozen(a) -> np.ndarray:
     return out
 
 
+def _check_zero_one(m: np.ndarray) -> None:
+    """Raise ValueError unless ``m`` is a 0/1 matrix with zero diagonal."""
+    if np.any(np.diagonal(m)) or not np.isin(m, (0, 1)).all():
+        raise ValueError("matrices must be 0/1 with zero diagonal")
+
+
 # ---------------------------------------------------------------------------
 # u-polynomial
 
@@ -101,8 +110,8 @@ class UPolynomial:
                 raise ValueError(f"exponent {k} < 1")
             if c == 0:
                 raise ValueError("zero coefficient stored")
-        if list(self.coeffs) != sorted(self.coeffs):
-            raise ValueError("coefficients must be sorted by exponent")
+        if any(k >= k2 for (k, _), (k2, _) in zip(self.coeffs, self.coeffs[1:])):
+            raise ValueError("exponents must be strictly increasing")
 
     @classmethod
     def from_dict(cls, d: Mapping[int, int]) -> "UPolynomial":
@@ -173,15 +182,15 @@ def linking_number(alpha: Nanoword, a: str, b: str) -> int:
     return -1 if same else 1
 
 
-def _arrows(alpha: Nanoword) -> list[tuple[int, int, bool, int, int]]:
-    """(first, second, is_b, tail, head) of each letter, in name order."""
+def _arrows(alpha: Nanoword) -> list[tuple[int, int, int, int, int]]:
+    """(first, second, sign, tail, head) per letter in name order; sign -1 is type b."""
     out = []
     for x in alpha.letters:
         first, second = alpha.occurrences(x)
         if alpha.type_of(x) == TYPE_B:
-            out.append((first, second, True, second, first))
+            out.append((first, second, -1, second, first))
         else:
-            out.append((first, second, False, first, second))
+            out.append((first, second, 1, first, second))
     return out
 
 
@@ -198,8 +207,8 @@ def n_values(alpha: Nanoword) -> Mapping[str, int]:
     before = list(accumulate(step, initial=0))  # before[p] = sum(step[:p])
     return MappingProxyType(
         {
-            x: (-1 if is_b else 1) * (before[second] - before[first + 1])
-            for x, (first, second, is_b, _, _) in zip(alpha.letters, arrows)
+            x: sign * (before[second] - before[first + 1])
+            for x, (first, second, sign, _, _) in zip(alpha.letters, arrows)
         }
     )
 
@@ -250,11 +259,12 @@ class HeadTailMatrices:
         object.__setattr__(self, "tail", _frozen(self.tail))
         object.__setattr__(self, "head", _frozen(self.head))
         k = len(self.order)
+        if len(set(self.order)) != k:
+            raise ValueError("duplicate letter names")
         for m in (self.tail, self.head):
             if m.shape != (k, k):
                 raise ValueError("matrix shape does not match letter order")
-            if np.any(np.diagonal(m)):
-                raise ValueError("diagonal entries must be zero")
+            _check_zero_one(m)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HeadTailMatrices):
@@ -266,17 +276,21 @@ class HeadTailMatrices:
         )
 
 
+def _tail_head(alpha: Nanoword) -> np.ndarray:
+    """The tail and head matrices of a word, stacked, letters in name order.
+
+    Arrow i passes the end p of another arrow when
+    ``sign_i (p - first_i) (p - second_i) < 0``; at i's own ends it is 0.
+    """
+    table = np.array(_arrows(alpha), dtype=np.int64).reshape(-1, 5)
+    first, second, sign = table[:, :1], table[:, 1:2], table[:, 2:3]
+    ends = table[:, 3:].T[:, None, :]  # tail ends, then head ends, as columns
+    return (sign * (ends - first) * (ends - second) < 0).astype(np.int64)
+
+
 def head_tail_matrices(alpha: Nanoword) -> HeadTailMatrices:
     """Tail and head matrices of a word, letters in lexicographic order."""
-    table = np.array(_arrows(alpha), dtype=np.int64).reshape(-1, 5)
-    first, second, is_b = table[:, :1], table[:, 1:2], table[:, 2:3] == 1
-    off_diagonal = ~np.eye(len(table), dtype=bool)
-
-    def passed(ends: np.ndarray) -> np.ndarray:
-        inside = (first < ends) & (ends < second)
-        return ((inside ^ is_b) & off_diagonal).astype(np.int64)
-
-    return HeadTailMatrices(alpha.letters, passed(table[:, 3]), passed(table[:, 4]))
+    return HeadTailMatrices(alpha.letters, *_tail_head(alpha))
 
 
 def th_realizable(
@@ -295,8 +309,7 @@ def th_realizable(
     if k > cap:
         raise ValueError(f"rank {k} exceeds brute-force cap {cap}")
     for m in (tail, head):
-        if np.any(np.diagonal(m)) or not np.isin(m, (0, 1)).all():
-            raise ValueError("matrices must be 0/1 with zero diagonal")
+        _check_zero_one(m)
     if k == 0:
         return EMPTY
 
@@ -304,14 +317,14 @@ def th_realizable(
     target = (tail + 2 * head).tolist()
     target_keys = _line_keys(target)
     for word in all_nanowords(k):
-        th = head_tail_matrices(word)
-        rows = (th.tail + 2 * th.head).tolist()
+        t, h = _tail_head(word)
+        rows = (t + 2 * h).tolist()
         perm = _bijection(target, rows, target_keys, _line_keys(rows))
         if perm is not None:
             # Rename so row i of the requested matrices is the i-th letter
             # of the result in lexicographic order.
             names = fresh_names((), k)
-            mapping = {th.order[perm[i]]: names[i] for i in range(k)}
+            mapping = {word.letters[perm[i]]: names[i] for i in range(k)}
             return Nanoword(
                 (mapping[x] for x in word.word),
                 {mapping[x]: word.type_of(x) for x in word.letters},
@@ -393,6 +406,14 @@ class BasedMatrix:
         if np.any(self.pairing.T != -self.pairing):
             raise ValueError("pairing must be skew-symmetric")
 
+    @classmethod
+    def _trusted(cls, elements: tuple[str, ...], pairing: np.ndarray) -> BasedMatrix:
+        """A build this module knows valid, unchecked; still a read-only copy."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "elements", elements)
+        object.__setattr__(m, "pairing", _frozen(pairing))
+        return m
+
     @property
     def size(self) -> int:
         return len(self.elements)
@@ -428,22 +449,24 @@ def _row_keys(rows: list[list[int]]) -> list[tuple[int, tuple[int, ...]]]:
 def _bordered(
     tags: Sequence[str], border: np.ndarray, inner: np.ndarray
 ) -> BasedMatrix:
-    """The based matrix over s and ``tags`` with b(g, s) = border[g]."""
+    """The based matrix over s and unique ``tags`` with b(g, s) = border[g]."""
     k = len(tags)
     full = np.zeros((k + 1, k + 1), dtype=np.int64)
     full[1:, 1:] = inner
     full[1:, 0] = border
     full[0, 1:] = -full[1:, 0]
-    return BasedMatrix((SPECIAL, *tags), full)
+    return BasedMatrix._trusted((SPECIAL, *tags), full)
 
 
 def based_matrix(alpha: Nanoword) -> BasedMatrix:
-    """Based matrix of a word: border n(g), inner block T - H + TH^t - HT^t."""
-    th = head_tail_matrices(alpha)
-    t, h = th.tail, th.head
-    nv = n_values(alpha)
-    border = np.array([nv[x] for x in th.order], dtype=np.int64)
-    return _bordered(th.order, border, t - h + t @ h.T - h @ t.T)
+    """Based matrix of a word: border n(g), inner block T - H + TH^t - HT^t.
+
+    T - H holds the letter-letter linking numbers, so n(g) is its row sum.
+    """
+    t, h = _tail_head(alpha)
+    linking = t - h
+    th = t @ h.T
+    return _bordered(alpha.letters, linking.sum(axis=1), linking + th - th.T)
 
 
 @dataclass(frozen=True)
@@ -454,16 +477,39 @@ class ReductionStep:
     removed: tuple[str, ...]
 
 
+def _reductions(rows: list[list[int]]):
+    """The (kind, row indices) of each reduction step a pairing allows, lazily.
+
+    In one order: annihilating, core, then complementary pairs (i, j), i < j.
+    """
+    srow = rows[0]
+    for kind, target in (("annihilating", [0] * len(srow)), ("core", srow)):
+        for i in range(1, len(rows)):
+            if rows[i] == target:
+                yield kind, (i,)
+    index: dict[tuple, list[int]] = {}
+    for i in range(1, len(rows)):
+        index.setdefault(tuple(rows[i]), []).append(i)
+    for i in range(1, len(rows)):
+        # From a list: tuple() of a generator grows by resizing, which
+        # fills the interpreter's per-size tuple free lists.
+        rest = tuple([s - v for s, v in zip(srow, rows[i])])
+        for j in index.get(rest, ()):
+            if j > i:
+                yield "complementary", (i, j)
+
+
 def reduce_to_primitive(
     m: BasedMatrix, *, rng=None
 ) -> tuple[BasedMatrix, tuple[ReductionStep, ...]]:
     """Remove annihilating/core elements and complementary pairs until none remain.
 
-    The deterministic strategy removes the first annihilating element, else
-    the first core element, else the lexicographically first complementary
-    pair; pass ``rng`` (a random.Random) to pick uniformly among all
-    currently available reductions instead.  The primitive result is unique
-    up to based-matrix isomorphism either way.
+    The available steps come in one order: annihilating elements, core
+    elements, then complementary pairs (i, j) with i < j ascending.  Without
+    ``rng`` each step is the first of them, found without listing the rest;
+    with ``rng`` (a random.Random) all of them are listed and
+    ``rng.randrange`` picks one.  The primitive result is unique up to
+    based-matrix isomorphism either way.
 
     Complementary pairs require two distinct elements; a self-complementary
     element (2 b(g,.) = b(s,.)) is never removed and is logged when seen.
@@ -472,36 +518,21 @@ def reduce_to_primitive(
     rows = m.pairing.tolist()
     steps: list[ReductionStep] = []
     while True:
-        k = len(rows)
-        keys = [tuple(row) for row in rows]
-        srow = keys[0]
-        index: dict[tuple, list[int]] = {}
-        for i in range(1, k):
-            index.setdefault(keys[i], []).append(i)
-        # Candidate order (annihilating, core, pairs i < j ascending) fixes
-        # which step ``rng.randrange`` picks.
-        candidates = [("annihilating", (i,)) for i in index.get((0,) * k, ())]
-        candidates += [("core", (i,)) for i in index.get(srow, ())]
-        for i in range(1, k):
-            # From a list: tuple() of a generator grows by resizing, which
-            # fills the interpreter's per-size tuple free lists.
-            rest = tuple([s - v for s, v in zip(srow, keys[i])])
-            candidates += [
-                ("complementary", (i, j)) for j in index.get(rest, ()) if j > i
-            ]
-        if not candidates:
-            for i in range(1, k):
-                if all(2 * v == s for v, s in zip(keys[i], srow)):
+        if rng is None:
+            step = next(_reductions(rows), None)
+        else:
+            candidates = list(_reductions(rows))
+            step = candidates[rng.randrange(len(candidates))] if candidates else None
+        if step is None:
+            for i in range(1, len(rows)):
+                if all(2 * v == s for v, s in zip(rows[i], rows[0])):
                     logger.info(
                         "irreducible self-complementary element %s left in place",
                         tags[i],
                     )
-            primitive = BasedMatrix(tuple(tags), np.array(rows, dtype=np.int64))
-            return primitive, tuple(steps)
-        if rng is None:
-            kind, indices = candidates[0]
-        else:
-            kind, indices = candidates[rng.randrange(len(candidates))]
+            primitive = np.array(rows, dtype=np.int64)
+            return BasedMatrix._trusted(tuple(tags), primitive), tuple(steps)
+        kind, indices = step
         steps.append(ReductionStep(kind, tuple(tags[i] for i in indices)))
         for i in sorted(indices, reverse=True):
             del tags[i], rows[i]

@@ -77,7 +77,7 @@ def compose(alpha: Nanoword, beta: Nanoword) -> Nanoword:
         beta, _ = relabel_disjoint(beta, alpha.letters)
     tmap = alpha.types()
     tmap.update(beta.types())
-    return Nanoword(alpha.word + beta.word, tmap)
+    return Nanoword(alpha.word + beta.word, tmap, _trusted=True)
 
 
 def cable(alpha: Nanoword, n: int) -> Nanoword:
@@ -86,7 +86,8 @@ def cable(alpha: Nanoword, n: int) -> Nanoword:
     Each letter A becomes n^2 copies A.i.j and the joins contribute letters
     C.0 .. C.(n-2), all of type a; the rank is rank * n^2 + n - 1.  Copy
     types: for type-a A, A.i.j is type a iff i <= j; for type-b A it is
-    type a iff j > (i-1 mod n).
+    type a iff j > (i-1 mod n).  No names clash (A.i.j has two more
+    dot-fields than A, C.k exactly one), so the word is built unchecked.
     """
     if n < 1:
         raise ValueError(f"cable width must be >= 1, got {n}")
@@ -132,7 +133,7 @@ def cable(alpha: Nanoword, n: int) -> Nanoword:
                 d = (i - 1) % n
                 for j in range(n):
                     tmap[f"{name}.{i}.{j}"] = TYPE_A if j > d else TYPE_B
-    return Nanoword(word, tmap)
+    return Nanoword(tuple(word), tmap, _trusted=True)
 
 
 def r_dot(alpha: Nanoword, r: int) -> Nanoword:
@@ -159,7 +160,7 @@ def r_dot(alpha: Nanoword, r: int) -> Nanoword:
         for name in alpha.letters
         for i in range(1, r + 1)
     }
-    return Nanoword(out, tmap)
+    return Nanoword(tuple(out), tmap, _trusted=True)
 
 
 def gen_gamma_pq(p: int, q: int) -> Nanoword:

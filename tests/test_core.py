@@ -24,7 +24,7 @@ from vstring.core import (
     shift_orbit,
 )
 from vstring.enumeration import canonical_population, sample_nanowords
-from vstring.ops import covering
+from vstring.ops import cable, compose, covering, r_dot
 
 
 @st.composite
@@ -268,6 +268,19 @@ class TestTrustedConstruction:
                 assert_same_as_validated(apply_move(w, site))
         for r in range(5):
             assert_same_as_validated(covering(w, r))
+
+    @given(named_nanowords(), named_nanowords())
+    @settings(max_examples=60, deadline=None)
+    def test_operations_equal_validated_words(self, w, v):
+        for n in range(1, 4):
+            assert_same_as_validated(cable(w, n))
+            assert_same_as_validated(r_dot(w, n))
+        # w with itself always clashes; v is renamed apart from w's letters.
+        disjoint, _ = relabel_disjoint(v, w.letters)
+        assert_same_as_validated(disjoint)
+        assert_same_as_validated(compose(w, w))
+        assert_same_as_validated(compose(w, v))
+        assert_same_as_validated(compose(w, disjoint))
 
     def test_enumerated_words_equal_validated_words(self):
         for w in sample_nanowords((4, 5), 30, seed=5) + canonical_population(4):

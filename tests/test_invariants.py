@@ -127,6 +127,13 @@ class TestUPolynomial:
         with pytest.raises(ValueError):
             UPolynomial(((1, 0),))
 
+    def test_duplicate_exponents_rejected(self):
+        # Would print "2t - 2t", be truthy and give as_dict() == {1: 2}.
+        with pytest.raises(ValueError, match="strictly increasing"):
+            UPolynomial(((1, -2), (1, 2)))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            UPolynomial(((2, 1), (1, 1)))
+
     def test_addition_and_cable_transform(self):
         u = UPolynomial.from_dict({1: 2, 3: -1})
         v = UPolynomial.from_dict({1: -2, 2: 5})
@@ -153,6 +160,18 @@ class TestHeadTail:
     def test_fractional_entries_rejected(self):
         with pytest.raises(ValueError, match="integers"):
             HeadTailMatrices(("A", "B"), [[0, 0.7], [0, 0]], np.zeros((2, 2)))
+
+    def test_entries_other_than_zero_one_rejected(self):
+        with pytest.raises(ValueError, match="0/1"):
+            HeadTailMatrices(("A", "B"), [[0, 5], [3, 0]], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="0/1"):
+            HeadTailMatrices(("A", "B"), np.zeros((2, 2)), [[0, -1], [0, 0]])
+        with pytest.raises(ValueError, match="0/1"):
+            HeadTailMatrices(("A", "B"), [[1, 0], [0, 0]], np.zeros((2, 2)))
+
+    def test_duplicate_letter_names_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            HeadTailMatrices(("A", "A"), np.zeros((2, 2)), np.zeros((2, 2)))
 
     def test_caller_arrays_stay_apart(self):
         tail, head = np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2), dtype=np.int64)

@@ -1,28 +1,38 @@
-"""Differential tests of the letter weights, head/tail matrices and th_realizable.
+"""Differential tests of the letter weights, head/tail and based matrices, and th_realizable.
 
 The reference functions below are the straightforward forms: n(X) sums the
 pairwise linking numbers, the head and tail matrices test each arrow end for
-membership in a set of cyclic positions, and ``th_realizable`` matches
-permutations with its own backtracker after a row/column-sum prefilter.  The
-library reads every one of them from one table of occurrence positions and
-arrow ends, and ``th_realizable`` shares the backtracker of ``bm_isomorphic``.
-They must give the same weights, the same matrices and the same realizing
-word.
+membership in a set of cyclic positions, the based matrix takes its border
+from ``n_values`` and its inner block from the checked head/tail matrices,
+and ``th_realizable`` matches permutations with its own backtracker after a
+row/column-sum prefilter.  The library reads every one of them from one table
+of occurrence positions and arrow ends, takes the based matrix's border as
+the row sums of T - H, and ``th_realizable`` shares the backtracker of
+``bm_isomorphic``.  They must give the same weights, the same matrices and
+the same realizing word.
 """
 
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
-from vstring.core import EMPTY, TYPE_A, Nanoword, fresh_names
+from vstring.core import EMPTY, TYPE_A, Nanoword, fresh_names, parse
 from vstring.enumeration import all_nanowords, canonical_population, sample_nanowords
 from vstring.invariants import (
+    SPECIAL,
+    BasedMatrix,
     _bijection,
     _line_keys,
+    based_matrix,
+    cable_reduced_based_matrix,
+    composite_based_matrix,
     head_tail_matrices,
     linking_number,
     n_values,
+    primitive_based_matrix,
+    reduce_to_primitive,
     th_realizable,
 )
 from vstring.ops import cable
@@ -192,6 +202,86 @@ def test_sampled_rank_5_to_7_words():
 @settings(max_examples=200, deadline=None)
 def test_named_words(w):
     assert_matches_reference(w)
+
+
+def ref_based_matrix(alpha: Nanoword) -> BasedMatrix:
+    th = head_tail_matrices(alpha)
+    t, h = th.tail, th.head
+    nv = n_values(alpha)
+    k = len(th.order)
+    full = np.zeros((k + 1, k + 1), dtype=np.int64)
+    full[1:, 1:] = t - h + t @ h.T - h @ t.T
+    full[1:, 0] = [nv[x] for x in th.order]
+    full[0, 1:] = -full[1:, 0]
+    return BasedMatrix((SPECIAL, *th.order), full)
+
+
+def assert_based_matrix_matches_reference(w: Nanoword) -> None:
+    got, expected = based_matrix(w), ref_based_matrix(w)
+    assert got.elements == expected.elements, w.text()
+    assert got.pairing.dtype == np.int64
+    assert np.array_equal(got.pairing, expected.pairing), w.text()
+
+
+def test_based_matrix_population_rank_4():
+    words = canonical_population(4)
+    assert len(words) == 246
+    for w in words:
+        assert_based_matrix_matches_reference(w)
+
+
+def test_based_matrix_cables_of_rank_3_words():
+    for w in _cables():
+        assert_based_matrix_matches_reference(w)
+
+
+@given(named_nanowords(max_rank=7))
+@settings(max_examples=100, deadline=None)
+def test_based_matrix_named_words(w):
+    assert_based_matrix_matches_reference(w)
+
+
+def _internal_matrices(w: Nanoword, v: Nanoword) -> list[BasedMatrix]:
+    m = based_matrix(w)
+    return [
+        m,
+        composite_based_matrix(m, w.types(), based_matrix(v), v.types()),
+        cable_reduced_based_matrix(primitive_based_matrix(w), 2),
+        reduce_to_primitive(m)[0],
+        primitive_based_matrix(w),
+    ]
+
+
+def test_internal_pairings_read_only():
+    for m in _internal_matrices(parse("ABCACB|aaa"), parse("ABCABC|aba")):
+        assert m.pairing.dtype == np.int64
+        assert not m.pairing.flags.writeable
+        with pytest.raises(ValueError):
+            m.pairing[0, 0] = 1
+
+
+def test_caller_arrays_cannot_change_results():
+    # A pairing passed in stays writable for its owner; writing to it after
+    # the call leaves every result alone.
+    a = np.array([[0, 1, -1], [-1, 0, 0], [1, 0, 0]], dtype=np.int64)
+    padded = np.zeros((4, 4), dtype=np.int64)
+    padded[:3, :3] = a  # C is annihilating
+    m = BasedMatrix(("s", "A", "B"), a)
+    reducible = BasedMatrix(("s", "A", "B", "C"), padded)
+    types = {"A": "a", "B": "b"}
+    results = [
+        reduce_to_primitive(m)[0],  # already primitive: no step taken
+        reduce_to_primitive(reducible)[0],
+        composite_based_matrix(m, types, m, types),
+        cable_reduced_based_matrix(m, 2),
+    ]
+    assert results[0] == results[1] == m
+    before = [r.pairing.copy() for r in results]
+    a[...] = 7
+    padded[...] = 7
+    for r, old in zip(results, before):
+        assert np.array_equal(r.pairing, old)
+        assert not np.shares_memory(r.pairing, m.pairing)
 
 
 def _same_outcome(tail: np.ndarray, head: np.ndarray) -> Nanoword | None:
