@@ -494,18 +494,15 @@ _PAIR_COUNT = {
 def _pair_positions(n: int, m: int) -> Iterator[tuple[int, ...]]:
     """Positions of m = 1, 2 or 3 disjoint adjacent letter pairs in a word of length n.
 
-    Pairs start at p < q < r with gaps of at least 2, in lexicographic order.
+    Pairs start at p < q < r with gaps of at least 2, in lexicographic order:
+    the k-th start is the k-th element of a combination of range(n - m), plus k.
     """
-    for p in range(n - 1):
-        if m == 1:
-            yield p, p + 1
-            continue
-        for q in range(p + 2, n - 1):
-            if m == 2:
-                yield p, p + 1, q, q + 1
-                continue
-            for r in range(q + 2, n - 1):
-                yield p, p + 1, q, q + 1, r, r + 1
+    if m == 1:
+        return ((p, p + 1) for p in range(n - 1))
+    starts = itertools.combinations(range(n - m), m)
+    if m == 2:
+        return ((p, p + 1, q + 1, q + 2) for p, q in starts)
+    return ((p, p + 1, q + 1, q + 2, r + 2, r + 3) for p, q, r in starts)
 
 
 def _h3_kind(alpha: Nanoword, positions: Sequence[int]) -> MoveKind | None:

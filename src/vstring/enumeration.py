@@ -92,20 +92,21 @@ def canonical_population(max_rank: int) -> list[Nanoword]:
     form only (words homotopic through H-moves stay distinct).  A negative
     ``max_rank`` raises ValueError.  A shift rotates the Gauss word and flips
     one type, so the Gauss words least among their rotations (1, 2, 5, 18,
-    105, 902 at ranks 1-6), under all type maps, meet every orbit; only
-    those words are keyed.
+    105, 902 at ranks 1-6), under all type maps, meet every orbit.  The
+    printed form of an orbit's representative starts with the least rotation
+    of its Gauss word, so exactly one of those words per orbit is its own
+    representative, and only those are kept.
     """
     if max_rank < 0:
         raise ValueError(f"max rank {max_rank} is negative")
-    seen: dict[str, Nanoword] = {"0": EMPTY}
+    words = [EMPTY]
     for rank in range(1, max_rank + 1):
         gauss = filter(_least_rotation, standard_gauss_words(rank))
         for word, types in _with_all_types(gauss, rank):
             w = Nanoword(word, types, _trusted=True)
-            key = shift_canonical_text(w)
-            if key not in seen:
-                seen[key] = shift_canonical(w)
-    return [seen[k] for k in sorted(seen)]
+            if shift_canonical(w) is w:
+                words.append(w)
+    return sorted(words, key=shift_canonical_text)
 
 
 def sample_nanowords(

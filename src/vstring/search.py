@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
 from .core import (
+    EMPTY,
     MoveKind,
     MoveSite,
     MoveTrace,
@@ -102,55 +103,41 @@ class _Node:
     word: Nanoword          # concrete word reached (trace target)
     parent: str | None      # key of the parent state
     steps: tuple[MoveSite, ...]  # sites leading from the parent's word here
-    depth: int
 
 
 class _Frontier:
-    """Best-first expansion over shift-orbit canonical states."""
+    """Best-first expansion over shift-orbit canonical states.
+
+    Heap entries are (rank, depth, insertion index, key); the insertion index
+    breaks ties in the order states were reached.
+    """
 
     def __init__(self, start: Nanoword, budget: SearchBudget):
         self.budget = budget
         self.rank_cap = start.rank + budget.max_rank_increase
-        self.nodes: dict[str, _Node] = {}
-        self.heap: list[tuple[int, int, int, str]] = []
-        self.counter = 0
         key = shift_canonical_text(start)
-        self.nodes[key] = _Node(start, None, (), 0)
-        self._push(key, start.rank, 0)
-        self.best_key = key
-
-    def _push(self, key: str, rank: int, depth: int) -> None:
-        heapq.heappush(self.heap, (rank, depth, self.counter, key))
-        self.counter += 1
+        self.nodes: dict[str, _Node] = {key: _Node(start, None, ())}
+        self.heap: list[tuple[int, int, int, str]] = [(start.rank, 0, 0, key)]
 
     def exhausted(self, shared_states: int) -> bool:
         """No state left to expand, or no room left for a new one."""
         return not self.heap or len(self.nodes) + shared_states >= self.budget.max_states
 
-    def best(self) -> _Node:
-        return self.nodes[self.best_key]
-
     def expand_one(self, shared_states: int) -> list[str]:
         """Pop one state and insert its successors; returns the new keys."""
-        _, _, _, key = heapq.heappop(self.heap)
-        node = self.nodes[key]
-        if node.depth >= self.budget.max_depth:
+        _, depth, _, key = heapq.heappop(self.heap)
+        if depth >= self.budget.max_depth:
             return []
         new_keys: list[str] = []
-        for steps, word in self._successors(node.word):
+        for steps, word in self._successors(self.nodes[key].word):
             if len(self.nodes) + shared_states >= self.budget.max_states:
                 break
             nkey = shift_canonical_text(word)
             if nkey in self.nodes:
                 continue
-            self.nodes[nkey] = _Node(word, key, steps, node.depth + 1)
-            self._push(nkey, word.rank, node.depth + 1)
+            heapq.heappush(self.heap, (word.rank, depth + 1, len(self.nodes), nkey))
+            self.nodes[nkey] = _Node(word, key, steps)
             new_keys.append(nkey)
-            if word.rank < self.nodes[self.best_key].word.rank or (
-                word.rank == self.nodes[self.best_key].word.rank
-                and nkey < self.best_key
-            ):
-                self.best_key = nkey
         return new_keys
 
     def _successors(
@@ -191,11 +178,12 @@ def reduce_bounded(
     frontier = _Frontier(alpha, budget)
     while not frontier.exhausted(0):
         frontier.expand_one(0)
-        if frontier.best().word.rank == 0:
+        if EMPTY.text() in frontier.nodes:  # the one rank-0 state
             break
-    best_key = frontier.best_key
+    nodes = frontier.nodes
+    best_key = min(nodes, key=lambda k: (nodes[k].word.rank, k))
     trace = MoveTrace(alpha, tuple(frontier.trace_steps(best_key)))
-    return frontier.nodes[best_key].word, trace
+    return nodes[best_key].word, trace
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,7 @@ class TestSizeGuards:
             ),
             (("verify", "structural", "--max-rank", "7"), "run_suite"),
             (("verify", "structural", "--max-rank", "6"), "run_suite"),
+            (("verify", "structural", "--max-rank", "5"), "run_suite"),
             (("verify", "structural", "--sample", "1001"), "run_suite"),
             (("verify", "all", "--sample", "100000"), "run_suite"),
             # rank 200 + sum |n(X)| 20,000 = 20,200

@@ -9,6 +9,7 @@ states each family once, as one predicate shared by ``find_sites`` and
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from vstring.core import (
@@ -21,6 +22,7 @@ from vstring.core import (
     _check_positions,
     _check_types,
     _invert_one,
+    _pair_positions,
     _pick_fresh,
     apply_move,
     canonical_relabel,
@@ -263,6 +265,12 @@ def candidate_positions(n, pairs):
     if pairs == 2:
         return [(p, p + 1, q, q + 1) for p in range(n - 1) for q in range(p + 2, n - 1)]
     return [(p, p + 1, q, q + 1, r, r + 1) for p, q, r in ref_pair_triples(n)]
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 3])
+def test_pair_positions_match_reference(pairs):
+    for n in range(30):
+        assert list(_pair_positions(n, pairs)) == candidate_positions(n, pairs), n
 
 
 def rotations_of_population(max_rank):

@@ -123,6 +123,13 @@ class TestReduceBounded:
         assert reduced == word
         assert trace.steps == ()
 
+    def test_empty_word_stops_after_one_expansion(self, monkeypatch):
+        totals = record_states(monkeypatch)
+        reduced, trace = reduce_bounded(EMPTY)
+        assert reduced is EMPTY
+        assert trace.steps == ()
+        assert totals == [1]
+
     def test_stops_at_state_cap(self, monkeypatch):
         # The cap is reached after a few expansions; no state is expanded
         # once nothing more can be added.
