@@ -248,11 +248,11 @@ class TestSizeGuards:
             ),
             (("verify", "structural", "--max-rank", "7"), "run_suite"),
             (("verify", "structural", "--max-rank", "6"), "run_suite"),
-            (("verify", "structural", "--max-rank", "5"), "run_suite"),
             (("verify", "structural", "--sample", "1001"), "run_suite"),
             (("verify", "all", "--sample", "100000"), "run_suite"),
             # rank 200 + sum |n(X)| 20,000 = 20,200
             (("preimage", gen_gamma_pq(100, 100).text(), "-r", "2"), "uncover_preimage"),
+            (("verify", "structural", "--max-rank", "5"), "run_suite"),
         ],
     )
     def test_rejected_before_building(
