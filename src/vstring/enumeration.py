@@ -36,9 +36,6 @@ __all__ = [
 
 def standard_gauss_words(rank: int) -> Iterator[tuple[str, ...]]:
     """All Gauss words of the given rank, letters in first-occurrence order."""
-    if rank == 0:
-        yield ()
-        return
     names = fresh_names((), rank)
 
     def build(prefix: list[str], opened: list[str], next_new: int) -> Iterator[tuple[str, ...]]:

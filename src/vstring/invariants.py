@@ -88,12 +88,6 @@ def _frozen(a) -> np.ndarray:
     return out
 
 
-def _check_zero_one(m: np.ndarray) -> None:
-    """Raise ValueError unless ``m`` is a 0/1 matrix with zero diagonal."""
-    if np.any(np.diagonal(m)) or not np.isin(m, (0, 1)).all():
-        raise ValueError("matrices must be 0/1 with zero diagonal")
-
-
 # ---------------------------------------------------------------------------
 # u-polynomial
 
@@ -264,7 +258,8 @@ class HeadTailMatrices:
         for m in (self.tail, self.head):
             if m.shape != (k, k):
                 raise ValueError("matrix shape does not match letter order")
-            _check_zero_one(m)
+            if np.any(np.diagonal(m)) or not np.isin(m, (0, 1)).all():
+                raise ValueError("matrices must be 0/1 with zero diagonal")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HeadTailMatrices):
@@ -302,19 +297,16 @@ def th_realizable(
     words of the matching rank, all type assignments and all orderings;
     ``cap`` bounds the rank accepted (the search is factorial).
     """
-    tail, head = _frozen(tail), _frozen(head)
-    if tail.shape != head.shape or tail.ndim != 2 or tail.shape[0] != tail.shape[1]:
-        raise ValueError("tail/head must be square matrices of equal size")
-    k = tail.shape[0]
+    k = len(tail) if np.ndim(tail) else 0
     if k > cap:
         raise ValueError(f"rank {k} exceeds brute-force cap {cap}")
-    for m in (tail, head):
-        _check_zero_one(m)
+    names = fresh_names((), k)
+    given = HeadTailMatrices(tuple(names), tail, head)
     if k == 0:
         return EMPTY
 
     # Entries 0..3 of tail + 2 head carry both matrices at once.
-    target = (tail + 2 * head).tolist()
+    target = (given.tail + 2 * given.head).tolist()
     target_keys = _line_keys(target)
     for word in all_nanowords(k):
         t, h = _tail_head(word)
@@ -323,7 +315,6 @@ def th_realizable(
         if perm is not None:
             # Rename so row i of the requested matrices is the i-th letter
             # of the result in lexicographic order.
-            names = fresh_names((), k)
             mapping = {word.letters[perm[i]]: names[i] for i in range(k)}
             return Nanoword(
                 (mapping[x] for x in word.word),
@@ -683,13 +674,17 @@ def distinguish(alpha: Nanoword, beta: Nanoword, depth: int = 2) -> DistinguishR
                 )
             )
     if not evidence and depth > 0:
-        from .ops import covering
+        from .ops import coverings
 
-        max_r = max(alpha.rank, beta.rank)
-        for r in [0, *range(2, max_r + 1)]:
-            ca, cb = covering(alpha, r), covering(beta, r)
-            if ca == alpha and cb == beta:
+        # Past its own rank a word's r-covering is its 0-covering.  A pair
+        # seen before was not distinct, so each pair is compared once.
+        ta, tb = coverings(alpha), coverings(beta)
+        seen = {(alpha, beta)}
+        for r in max(ta, tb, key=len):
+            pair = ca, cb = ta.get(r, ta[0]), tb.get(r, tb[0])
+            if pair in seen:
                 continue
+            seen.add(pair)
             sub = distinguish(ca, cb, depth - 1)
             if sub.verdict == "distinct":
                 name, va, vb = sub.evidence[0]

@@ -3,6 +3,9 @@
 * ``covering(alpha, r)`` keeps exactly the letters whose weight n(X) is
   divisible by r (for r = 0: exactly the letters with n(X) = 0) and is
   well-defined on virtual strings.
+* ``coverings(alpha)`` is the table of every informative r-covering,
+  r = 0 and 2..rank: the 1-covering is the word itself, and every r above
+  each |n(X)| gives the 0-covering.
 * ``compose(alpha, beta)`` concatenates after renaming beta's letters fresh;
   the result depends on the chosen base points, so it is an operation on
   words, not on virtual strings.
@@ -33,6 +36,7 @@ from .invariants import n_values
 
 __all__ = [
     "covering",
+    "coverings",
     "compose",
     "cable",
     "r_dot",
@@ -67,6 +71,21 @@ def covering(alpha: Nanoword, r: int) -> Nanoword:
     return Nanoword(tuple([x for x in alpha.word if x in types]), types, _trusted=True)
 
 
+def coverings(alpha: Nanoword) -> dict[int, Nanoword]:
+    """Every informative r-covering of a word, keyed r = 0, 2, 3, ..., rank.
+
+    Each value equals ``covering(alpha, r)``.  Coverings that keep the same
+    letters are one object, so work memoised on a covering (its shift-canonical
+    form) is done once per distinct subword.
+    """
+    table: dict[int, Nanoword] = {}
+    by_letters: dict[tuple[str, ...], Nanoword] = {}
+    for r in (0, *range(2, alpha.rank + 1)):
+        cover = covering(alpha, r)
+        table[r] = by_letters.setdefault(cover.letters, cover)
+    return table
+
+
 def compose(alpha: Nanoword, beta: Nanoword) -> Nanoword:
     """Concatenate, renaming beta's letters past alpha's alphabet on a clash.
 
@@ -93,14 +112,11 @@ def cable(alpha: Nanoword, n: int) -> Nanoword:
         raise ValueError(f"cable width must be >= 1, got {n}")
     if n == 1:
         return alpha
-    first_seen: set[str] = set()
 
     def strand_copy(i: int) -> list[str]:
         out: list[str] = []
-        seen: set[str] = set()
-        for name in alpha.word:
-            is_first = name not in seen
-            seen.add(name)
+        for p, name in enumerate(alpha.word):
+            is_first = alpha.occurrences(name)[0] == p
             if alpha.type_of(name) == TYPE_A:
                 if is_first:
                     out.extend(f"{name}.{i}.{j}" for j in range(n))
@@ -148,10 +164,8 @@ def r_dot(alpha: Nanoword, r: int) -> Nanoword:
     if r == 1:
         return alpha
     out: list[str] = []
-    seen: set[str] = set()
-    for name in alpha.word:
-        if name not in seen:
-            seen.add(name)
+    for p, name in enumerate(alpha.word):
+        if alpha.occurrences(name)[0] == p:
             out.extend(f"{name}.{i}" for i in range(1, r + 1))
         else:
             out.extend(f"{name}.{i}" for i in range(r, 0, -1))
@@ -214,10 +228,8 @@ def uncover_preimage(alpha: Nanoword, r: int) -> Nanoword:
     nv = n_values(base)
     out: list[str] = []
     tmap = base.types()
-    seen: set[str] = set()
-    for name in base.word:
-        if name not in seen:
-            seen.add(name)
+    for p, name in enumerate(base.word):
+        if base.occurrences(name)[0] == p:
             out.append(name)
             continue
         k = abs(nv[name])
@@ -258,15 +270,11 @@ class CoverStats:
 
 def cover_stats(alpha: Nanoword, r: int, budget=None) -> CoverStats:
     """Covering-derived numeric bounds; pass a SearchBudget to refine them."""
-    nv = n_values(alpha)
-    nonzero = [abs(v) for v in nv.values() if v != 0]
-    if not nonzero:
-        m_upper = 0
-    else:
-        m_upper = max(nonzero) + 1
-        base0 = covering(alpha, 0)
-        while m_upper > 1 and covering(alpha, m_upper - 1) == base0:
-            m_upper -= 1
+    # Past the largest r whose covering differs from the 0-covering, every
+    # covering is the 0-covering; the 1-covering (the word) always differs.
+    table = coverings(alpha)
+    differs = [k for k, cover in table.items() if cover != table[0]]
+    m_upper = 0 if table[0] is alpha else 1 + max(differs, default=1)
 
     chain = [alpha]
     while True:
@@ -290,5 +298,5 @@ def cover_stats(alpha: Nanoword, r: int, budget=None) -> CoverStats:
         m_upper=m_upper,
         height_upper=height,
         base_word=base,
-        fixed=covering(alpha, r) == alpha,
+        fixed=len(chain) == 1,
     )

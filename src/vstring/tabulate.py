@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .core import Nanoword, shift_canonical, shift_canonical_text
 from .invariants import primitive_based_matrix, u_polynomial
 from .enumeration import canonical_population
-from .ops import covering
+from .ops import coverings
 from .search import reduce_bounded
 
 __all__ = ["TabulationRecord", "record_for", "tabulation_records", "record_to_json"]
@@ -33,16 +33,14 @@ class TabulationRecord:
 def record_for(word: Nanoword) -> TabulationRecord:
     canonical = shift_canonical(word)
     primitive = primitive_based_matrix(canonical)
-    covers = []
-    for r in [0, *range(2, canonical.rank + 1)]:
-        covers.append((r, shift_canonical_text(covering(canonical, r))))
+    covers = tuple((r, shift_canonical_text(c)) for r, c in coverings(canonical).items())
     return TabulationRecord(
         canonical=canonical.text(),
         rank=canonical.rank,
         u=u_polynomial(canonical).coeffs,
         rho=primitive.size - 1,
         pbm_signature=primitive.signature(),
-        covers=tuple(covers),
+        covers=covers,
     )
 
 

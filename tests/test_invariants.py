@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vstring.core import EMPTY, Nanoword, canonical_relabel, parse, shift
+from vstring.core import EMPTY, Nanoword, canonical_relabel, parse, shift, shift_canonical_text
 from vstring.enumeration import all_nanowords, canonical_population
+import vstring.invariants as invariants_module
 from vstring.invariants import (
     BasedMatrix,
+    DistinguishReport,
     HeadTailMatrices,
     ReductionStep,
     UPolynomial,
@@ -227,6 +229,20 @@ class TestTHRealizable:
     def test_cap(self):
         with pytest.raises(ValueError):
             th_realizable(np.zeros((6, 6)), np.zeros((6, 6)), cap=5)
+
+    @pytest.mark.parametrize(
+        "tail,head",
+        [
+            (np.zeros((2, 3)), np.zeros((2, 3))),  # not square
+            (np.zeros((2, 2)), np.zeros((3, 3))),  # sizes differ
+            (np.array(0), np.array(0)),  # 0-d
+            ([[0, 5], [0, 0]], np.zeros((2, 2))),  # entry outside 0/1
+        ],
+        ids=["non-square", "unequal", "0-d", "entry-5"],
+    )
+    def test_malformed_rejected(self, tail, head):
+        with pytest.raises(ValueError):
+            th_realizable(tail, head)
 
     def test_fractional_entries_rejected(self):
         # Truncated to int64, [[0, 0.5], [0, 0]] would pass as the zero
@@ -507,7 +523,67 @@ class TestCableReducedBasedMatrix:
         assert bm_isomorphic(predicted, actual)
 
 
+def ref_distinguish(alpha, beta, depth=2, compared=None):
+    """The per-r covering loop that distinguish ran before it read the
+    covering tables: every r-covering of both words, repeats included.
+    The top-level covering pairs it compares are appended to ``compared``."""
+    evidence = []
+    ua, ub = u_polynomial(alpha), u_polynomial(beta)
+    if ua != ub:
+        evidence.append(("u-polynomial", str(ua), str(ub)))
+    ra, rb = rho(alpha), rho(beta)
+    if ra != rb:
+        evidence.append(("rho", str(ra), str(rb)))
+    elif not evidence:
+        pa, pb = primitive_based_matrix(alpha), primitive_based_matrix(beta)
+        if not bm_isomorphic(pa, pb):
+            rows_a, rows_b = pa.to_json()["rows"], pb.to_json()["rows"]
+            evidence.append(("primitive-based-matrix", str(rows_a), str(rows_b)))
+    if not evidence and depth > 0:
+        for r in [0, *range(2, max(alpha.rank, beta.rank) + 1)]:
+            ca, cb = covering(alpha, r), covering(beta, r)
+            if ca == alpha and cb == beta:
+                continue
+            if compared is not None:
+                compared.append((ca, cb))
+            sub = ref_distinguish(ca, cb, depth - 1)
+            if sub.verdict == "distinct":
+                name, va, vb = sub.evidence[0]
+                evidence.append((f"cover[{r}] {name}", va, vb))
+                break
+    if evidence:
+        return DistinguishReport("distinct", tuple(evidence))
+    if shift_canonical_text(alpha) == shift_canonical_text(beta):
+        return DistinguishReport("same-word-class")
+    return DistinguishReport("unknown")
+
+
 class TestDistinguish:
+    def test_matches_per_r_reference(self, monkeypatch):
+        small = canonical_population(2)
+        pairs = [(a, b) for a in small for b in small]
+        pairs.append((gen_gamma_pq(2, 2), gen_gamma_pq(3, 3)))
+        pairs += [(gen_alpha_n(n), EMPTY) for n in (5, 6)]
+        pairs.append((parse("ABABCDCD|aaaa"), EMPTY))
+        # Equal u, rho and primitive matrix, with a 3-covering of the longer
+        # word compared against the 0-covering of the shorter.
+        for text in ("ABCADBCD|aabb", "ABCDABCD|aaaa"):
+            pairs += [(parse(text), parse("ABAB|aa")), (parse("ABAB|aa"), parse(text))]
+        # Record the recursive calls, to see which covering pairs are compared.
+        calls = []
+
+        def recording(a, b, depth=2):
+            calls.append((a, b, depth))
+            return distinguish(a, b, depth)
+
+        monkeypatch.setattr(invariants_module, "distinguish", recording)
+        for a, b in pairs:
+            compared, calls[:] = [], []
+            report = distinguish(a, b)
+            assert report == ref_distinguish(a, b, compared=compared), (a.text(), b.text())
+            # Each pair the per-r loop compared, once, in the same order.
+            assert [(x, y) for x, y, depth in calls if depth == 1] == list(dict.fromkeys(compared))
+
     def test_kishino_vs_trivial(self):
         report = distinguish(EMPTY, parse("ABABCDCD|aaaa"))
         assert report.verdict == "distinct"

@@ -11,6 +11,7 @@ from vstring.ops import (
     compose,
     cover_stats,
     covering,
+    coverings,
     gen_alpha_n,
     gen_gamma_pq,
     r_dot,
@@ -68,6 +69,25 @@ class TestCovering:
             left = covering(compose(a, b), r)
             right = compose(covering(a, r), covering(b, r))
             assert canonical_relabel(left) == canonical_relabel(right)
+
+
+class TestCoverings:
+    def test_table_matches_covering(self):
+        for w in canonical_population(4):
+            table = coverings(w)
+            assert list(table) == [0, *range(2, w.rank + 1)]
+            by_letters = {}
+            for r, cover in table.items():
+                assert cover == covering(w, r)
+                assert by_letters.setdefault(cover.letters, cover) is cover
+
+    def test_worked_example(self):
+        # n = (2, -1, -1): the 2-covering keeps A, the 0- and 3-coverings
+        # keep nothing and are one object.
+        table = coverings(parse("ABCACB|aaa"))
+        assert table[2].text() == "AA|a"
+        assert table[0] is table[3]
+        assert table[0] == EMPTY
 
 
 class TestCompose:
@@ -274,3 +294,23 @@ class TestCoverStats:
 
     def test_weightless_word(self):
         assert cover_stats(gen_alpha_n(5), 0).m_upper == 0
+
+    def test_matches_walk_down_reference(self):
+        # The walk-down over r that cover_stats used before it read the
+        # covering table, and the direct fixedness check.
+        def ref_m_upper(w):
+            nonzero = [abs(v) for v in n_values(w).values() if v != 0]
+            if not nonzero:
+                return 0
+            m_upper = max(nonzero) + 1
+            base0 = covering(w, 0)
+            while m_upper > 1 and covering(w, m_upper - 1) == base0:
+                m_upper -= 1
+            return m_upper
+
+        cables = [cable(w, 2) for w in canonical_population(2)]
+        for w in canonical_population(4) + cables:
+            for r in (0, 2, 3):
+                stats = cover_stats(w, r)
+                assert stats.m_upper == ref_m_upper(w), w.text()
+                assert stats.fixed == (covering(w, r) == w), (w.text(), r)
