@@ -193,11 +193,11 @@ def _cmd_verify(args) -> int:
 def _cmd_tabulate(args) -> int:
     _check_rank(args.max_rank, MAX_TABULATE_RANK)
     oracle = SearchBudget.from_env() if args.oracle else None
+    count = 0
     with open(args.out, "w") as fh:
-        records = tabulation_records(args.max_rank, oracle=oracle)
-        for record in records:
+        for count, record in enumerate(tabulation_records(args.max_rank, oracle=oracle), 1):
             fh.write(record_to_json(record) + "\n")
-    print(f"wrote {len(records)} records to {args.out}")
+    print(f"wrote {count} records to {args.out}")
     return 0
 
 

@@ -5,7 +5,8 @@
   well-defined on virtual strings.
 * ``coverings(alpha)`` is the table of every informative r-covering,
   r = 0 and 2..rank: the 1-covering is the word itself, and every r above
-  each |n(X)| gives the 0-covering.
+  each |n(X)| gives the 0-covering.  Equal proper coverings, of one word or
+  of different words, are one shared, immutable object.
 * ``compose(alpha, beta)`` concatenates after renaming beta's letters fresh;
   the result depends on the chosen base points, so it is an operation on
   words, not on virtual strings.
@@ -23,7 +24,9 @@ Generators for the two standard families used throughout the test suites
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (
     TYPE_A,
@@ -48,42 +51,47 @@ __all__ = [
 ]
 
 
-def _divisible(value: int, r: int) -> bool:
-    if r == 0:
-        return value == 0
-    return value % r == 0
-
-
 def covering(alpha: Nanoword, r: int) -> Nanoword:
     """The r-covering: the subword of letters X with n(X) divisible by r.
 
     A covering that keeps every letter (always so for ``r = 1``) returns the
     word itself, which it fixes; ``r = 0`` keeps exactly the letters of weight
     zero.  Since the weights sum to zero, a covering never removes exactly one
-    letter.
+    letter.  A proper covering is shared and immutable (see ``_subword``).
     """
     if r < 0:
         raise ValueError(f"covering index must be >= 0, got {r}")
-    nv = n_values(alpha)
-    types = {x: alpha.type_of(x) for x in alpha.letters if _divisible(nv[x], r)}
-    if len(types) == alpha.rank:
-        return alpha
-    return Nanoword(tuple([x for x in alpha.word if x in types]), types, _trusted=True)
+    return _cover(alpha, n_values(alpha), r)
 
 
 def coverings(alpha: Nanoword) -> dict[int, Nanoword]:
     """Every informative r-covering of a word, keyed r = 0, 2, 3, ..., rank.
 
-    Each value equals ``covering(alpha, r)``.  Coverings that keep the same
-    letters are one object, so work memoised on a covering (its shift-canonical
-    form) is done once per distinct subword.
+    Each value is ``covering(alpha, r)``, so coverings that keep the same
+    letters are one object.
     """
-    table: dict[int, Nanoword] = {}
-    by_letters: dict[tuple[str, ...], Nanoword] = {}
-    for r in (0, *range(2, alpha.rank + 1)):
-        cover = covering(alpha, r)
-        table[r] = by_letters.setdefault(cover.letters, cover)
-    return table
+    nv = n_values(alpha)
+    return {r: _cover(alpha, nv, r) for r in (0, *range(2, alpha.rank + 1))}
+
+
+def _cover(alpha: Nanoword, nv: Mapping[str, int], r: int) -> Nanoword:
+    """The subword of the letters X with n(X) divisible by r (r = 0: n(X) = 0)."""
+    kept = {x for x in alpha.letters if (nv[x] % r if r else nv[x]) == 0}
+    if len(kept) == alpha.rank:
+        return alpha
+    types = tuple([(x, alpha.type_of(x)) for x in alpha.letters if x in kept])
+    return _subword(tuple([x for x in alpha.word if x in kept]), types)
+
+
+@lru_cache(maxsize=8192)
+def _subword(word: tuple[str, ...], types: tuple[tuple[str, str], ...]) -> Nanoword:
+    """The word ``word`` with letter types ``types``, one object per value.
+
+    Equal coverings of different words are then the same object, so what is
+    memoised on a covering (its shift-canonical form) is computed once across
+    a population.  A Nanoword exposes no mutator, so sharing one is safe.
+    """
+    return Nanoword(word, dict(types), _trusted=True)
 
 
 def compose(alpha: Nanoword, beta: Nanoword) -> Nanoword:

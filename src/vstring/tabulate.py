@@ -9,6 +9,7 @@ r-covering, which is what the fixed-point set experiments consume.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import Nanoword, shift_canonical, shift_canonical_text
@@ -44,8 +45,8 @@ def record_for(word: Nanoword) -> TabulationRecord:
     )
 
 
-def tabulation_records(max_rank: int, *, oracle=None) -> list[TabulationRecord]:
-    """Records for every canonical word of rank <= max_rank.
+def tabulation_records(max_rank: int, *, oracle=None) -> Iterator[TabulationRecord]:
+    """Records for every canonical word of rank <= max_rank, made as they are read.
 
     With ``oracle`` (a SearchBudget), words that a bounded search proves
     homotopic are merged: each homotopy class keeps its least canonical form.
@@ -59,7 +60,7 @@ def tabulation_records(max_rank: int, *, oracle=None) -> list[TabulationRecord]:
             if key not in by_reduced or w.text() < by_reduced[key].text():
                 by_reduced[key] = w
         words = sorted(by_reduced.values(), key=lambda w: w.text())
-    return [record_for(w) for w in words]
+    return map(record_for, words)
 
 
 def record_to_json(record: TabulationRecord) -> str:

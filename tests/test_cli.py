@@ -207,7 +207,7 @@ class TestTabulate:
         monkeypatch.setenv("VSTRING_BUDGET", "2,5000,16")
         out = tmp_path / "o.jsonl"
         run(capsys, "tabulate", "--max-rank", "2", "--out", str(out), "--oracle")
-        plain = tabulation_records(2)
+        plain = list(tabulation_records(2))
         merged = out.read_text().splitlines()
         assert len(merged) < len(plain)
 

@@ -3,7 +3,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vstring.core import EMPTY, canonical_relabel, isomorphic, parse
+from vstring.core import (
+    EMPTY,
+    Nanoword,
+    canonical_relabel,
+    isomorphic,
+    parse,
+    shift_canonical_text,
+)
 from vstring.enumeration import canonical_population
 from vstring.invariants import n_values, rho, u_polynomial
 from vstring.ops import (
@@ -71,15 +78,43 @@ class TestCovering:
             assert canonical_relabel(left) == canonical_relabel(right)
 
 
+def ref_covering(alpha, r):
+    """The per-r covering as first written: a fresh subword on every call."""
+    nv = n_values(alpha)
+    divisible = (lambda v: v == 0) if r == 0 else (lambda v: v % r == 0)
+    types = {x: alpha.type_of(x) for x in alpha.letters if divisible(nv[x])}
+    if len(types) == alpha.rank:
+        return alpha
+    return Nanoword(tuple([x for x in alpha.word if x in types]), types, _trusted=True)
+
+
+def covering_population():
+    """canonical_population(4) and the 2-cables of every word of rank <= 2."""
+    return canonical_population(4) + [cable(w, 2) for w in canonical_population(2)]
+
+
 class TestCoverings:
     def test_table_matches_covering(self):
-        for w in canonical_population(4):
+        for w in covering_population():
             table = coverings(w)
             assert list(table) == [0, *range(2, w.rank + 1)]
-            by_letters = {}
             for r, cover in table.items():
-                assert cover == covering(w, r)
-                assert by_letters.setdefault(cover.letters, cover) is cover
+                assert cover == ref_covering(w, r), (w.text(), r)
+                assert covering(w, r) is cover
+
+    def test_equal_covers_shared_across_words(self):
+        shared: dict = {}
+        owner: dict = {}
+        across = 0
+        for w in covering_population():
+            for r, cover in coverings(w).items():
+                if cover is w:
+                    continue
+                assert shared.setdefault(cover, cover) is cover, (w.text(), r)
+                across += owner.setdefault(cover, w) is not w
+                fresh = ref_covering(w, r)
+                assert shift_canonical_text(cover) == shift_canonical_text(fresh)
+        assert across > 0
 
     def test_worked_example(self):
         # n = (2, -1, -1): the 2-covering keeps A, the 0- and 3-coverings
@@ -308,8 +343,7 @@ class TestCoverStats:
                 m_upper -= 1
             return m_upper
 
-        cables = [cable(w, 2) for w in canonical_population(2)]
-        for w in canonical_population(4) + cables:
+        for w in covering_population():
             for r in (0, 2, 3):
                 stats = cover_stats(w, r)
                 assert stats.m_upper == ref_m_upper(w), w.text()
