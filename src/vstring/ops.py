@@ -57,7 +57,7 @@ def covering(alpha: Nanoword, r: int) -> Nanoword:
     A covering that keeps every letter (always so for ``r = 1``) returns the
     word itself, which it fixes; ``r = 0`` keeps exactly the letters of weight
     zero.  Since the weights sum to zero, a covering never removes exactly one
-    letter.  A proper covering is shared and immutable (see ``_subword``).
+    letter.  Equal proper coverings are one shared, immutable object.
     """
     if r < 0:
         raise ValueError(f"covering index must be >= 0, got {r}")

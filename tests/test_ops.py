@@ -103,15 +103,15 @@ class TestCoverings:
                 assert covering(w, r) is cover
 
     def test_equal_covers_shared_across_words(self):
-        shared: dict = {}
-        owner: dict = {}
+        first: dict = {}  # cover value -> (the object first seen, its word)
         across = 0
         for w in covering_population():
             for r, cover in coverings(w).items():
                 if cover is w:
                     continue
-                assert shared.setdefault(cover, cover) is cover, (w.text(), r)
-                across += owner.setdefault(cover, w) is not w
+                seen, owner = first.setdefault(cover, (cover, w))
+                assert seen is cover, (w.text(), r)
+                across += owner is not w
                 fresh = ref_covering(w, r)
                 assert shift_canonical_text(cover) == shift_canonical_text(fresh)
         assert across > 0
