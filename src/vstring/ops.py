@@ -89,7 +89,9 @@ def _subword(word: tuple[str, ...], types: tuple[tuple[str, str], ...]) -> Nanow
 
     Equal coverings of different words are then the same object, so what is
     memoised on a covering (its shift-canonical form) is computed once across
-    a population.  A Nanoword exposes no mutator, so sharing one is safe.
+    a population.  The cache keeps the 8192 subwords used last, which holds
+    every distinct covering of the rank <= 6 population (4,746).  A Nanoword
+    exposes no mutator, so sharing one is safe.
     """
     return Nanoword(word, dict(types), _trusted=True)
 
