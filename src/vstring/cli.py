@@ -4,7 +4,9 @@ Subcommands cover invariant computation (``compute``), the word-producing
 operations (``cover``, ``compose``, ``cable``, ``rdot``, ``preimage``,
 ``gen``), bounded homotopy search (``reduce``, ``equiv``), the property
 suites (``verify``), exhaustive tabulation (``tabulate``) and covering-graph
-export (``graph``).
+export (``graph``).  Each subcommand, and each ``gen`` family, has one
+``_cmd_*`` handler holding its body and its size guard; the subparser
+registers it as ``run``, and ``main`` only calls it.
 
 Exit codes: 0 for success (including an "unknown" equivalence verdict), 1 for
 usage or input errors, 2 when a verification suite fails.  The environment
@@ -23,7 +25,7 @@ import json
 import sys
 from typing import Sequence
 
-from .core import MoveTrace, Nanoword, NanowordError, canonical_relabel, parse
+from .core import MoveTrace, NanowordError, canonical_relabel, parse
 from .enumeration import canonical_population
 from .invariants import invariant_bundle, n_values, u_polynomial
 from .ops import cable, compose, covering, gen_alpha_n, gen_gamma_pq, r_dot, uncover_preimage
@@ -65,49 +67,60 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="invariant bundle of a word")
     p.add_argument("word")
     p.add_argument("--json", action="store_true", dest="as_json")
+    p.set_defaults(run=_cmd_compute)
 
     p = sub.add_parser("cover", help="r-covering of a word")
     p.add_argument("word")
     p.add_argument("-r", type=int, required=True)
+    p.set_defaults(run=_cmd_cover)
 
     p = sub.add_parser("compose", help="composition of two words")
     p.add_argument("first")
     p.add_argument("second")
+    p.set_defaults(run=_cmd_compose)
 
     p = sub.add_parser("cable", help="n-cable of a word")
     p.add_argument("word")
     p.add_argument("-n", type=int, required=True)
+    p.set_defaults(run=_cmd_cable)
 
     p = sub.add_parser("rdot", help="nested r-fold duplication of a word")
     p.add_argument("word")
     p.add_argument("-r", type=int, required=True)
+    p.set_defaults(run=_cmd_rdot)
 
     p = sub.add_parser("preimage", help="word whose r-covering is the input")
     p.add_argument("word")
     p.add_argument("-r", type=int, required=True)
+    p.set_defaults(run=_cmd_preimage)
 
     p = sub.add_parser("gen", help="generate a standard family member")
     gsub = p.add_subparsers(dest="family", required=True)
     g = gsub.add_parser("gamma", help="the p,q two-block family")
     g.add_argument("p", type=int)
     g.add_argument("q", type=int)
+    g.set_defaults(run=_cmd_gamma)
     g = gsub.add_parser("alphan", help="the weight-zero cyclic family")
     g.add_argument("n", type=int)
+    g.set_defaults(run=_cmd_alphan)
 
     p = sub.add_parser("reduce", help="search for a lower-rank representative")
     p.add_argument("word")
     p.add_argument("--budget", help="rank_increase,max_states,max_depth")
+    p.set_defaults(run=_cmd_reduce)
 
     p = sub.add_parser("equiv", help="bounded homotopy test for two words")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--budget", help="rank_increase,max_states,max_depth")
+    p.set_defaults(run=_cmd_equiv)
 
     p = sub.add_parser("verify", help="run a named property suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--max-rank", type=int, default=3)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--sample", type=int, default=200)
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("tabulate", help="enumerate words and their invariants")
     p.add_argument("--max-rank", type=int, required=True)
@@ -117,11 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also merge words a bounded search proves homotopic",
     )
+    p.set_defaults(run=_cmd_tabulate)
 
     p = sub.add_parser("graph", help="covering-map graph over small words, as DOT")
     p.add_argument("--max-rank", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("--dot", required=True)
+    p.set_defaults(run=_cmd_graph)
     return top
 
 
@@ -136,31 +151,69 @@ def _check_rank(max_rank: int, limit: int) -> None:
     _check_size("--max-rank", max_rank, limit)
 
 
-def _print_word(word: Nanoword, canonical: bool) -> None:
-    print(canonical_relabel(word).text() if canonical else word.text())
-
-
 def _print_trace(trace: MoveTrace) -> None:
     words = trace.replay()
     for site, word in zip(trace.steps, words[1:]):
         print(f"  {site}  ->  {word.text()}")
 
 
-def _cmd_compute(args) -> int:
+def _cmd_compute(args) -> None:
     word = parse(args.word)
     bundle = invariant_bundle(word)
     if args.as_json:
         print(json.dumps(bundle, sort_keys=True))
-        return 0
+        return
     print(f"word: {bundle['word']}")
     print(f"rank: {bundle['rank']}")
     print("n:", " ".join(f"{x}={v}" for x, v in bundle["n_values"].items()) or "-")
     print(f"u: {u_polynomial(word)}")
     print(f"rho: {bundle['rho']}")
-    return 0
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_cover(args) -> None:
+    print(covering(parse(args.word), args.r).text())
+
+
+def _cmd_compose(args) -> None:
+    print(compose(parse(args.first), parse(args.second)).text())
+
+
+def _cmd_cable(args) -> None:
+    word, n = parse(args.word), args.n
+    _check_size("cable rank", word.rank * n * n + n - 1, MAX_WORD_RANK)
+    print(canonical_relabel(cable(word, n)).text())
+
+
+def _cmd_rdot(args) -> None:
+    word = parse(args.word)
+    _check_size("r-dot rank", word.rank * args.r, MAX_WORD_RANK)
+    print(canonical_relabel(r_dot(word, args.r)).text())
+
+
+def _cmd_preimage(args) -> None:
+    word = parse(args.word)
+    padding = sum(abs(v) for v in n_values(word).values())
+    _check_size("preimage rank", word.rank + padding, MAX_WORD_RANK)
+    print(canonical_relabel(uncover_preimage(word, args.r)).text())
+
+
+def _cmd_gamma(args) -> None:
+    _check_size("family rank", args.p + args.q, MAX_WORD_RANK)
+    print(canonical_relabel(gen_gamma_pq(args.p, args.q)).text())
+
+
+def _cmd_alphan(args) -> None:
+    _check_size("family rank", args.n, MAX_WORD_RANK)
+    print(canonical_relabel(gen_alpha_n(args.n)).text())
+
+
+def _cmd_reduce(args) -> None:
+    reduced, trace = reduce_bounded(parse(args.word), _budget(args.budget))
+    print(reduced.text())
+    _print_trace(trace)
+
+
+def _cmd_equiv(args) -> None:
     budget = _budget(args.budget)
     result = equivalent_bounded(parse(args.first), parse(args.second), budget)
     print(result.verdict)
@@ -169,7 +222,6 @@ def _cmd_equiv(args) -> int:
     if result.report is not None:
         for name, va, vb in result.report.evidence:
             print(f"  {name}: {va} vs {vb}")
-    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -190,7 +242,7 @@ def _cmd_verify(args) -> int:
     return 2 if failed else 0
 
 
-def _cmd_tabulate(args) -> int:
+def _cmd_tabulate(args) -> None:
     _check_rank(args.max_rank, MAX_TABULATE_RANK)
     oracle = SearchBudget.from_env() if args.oracle else None
     count = 0
@@ -198,10 +250,9 @@ def _cmd_tabulate(args) -> int:
         for count, record in enumerate(tabulation_records(args.max_rank, oracle=oracle), 1):
             fh.write(record_to_json(record) + "\n")
     print(f"wrote {count} records to {args.out}")
-    return 0
 
 
-def _cmd_graph(args) -> int:
+def _cmd_graph(args) -> None:
     _check_rank(args.max_rank, MAX_TABULATE_RANK)
     if args.r < 0:
         raise ValueError(f"covering index must be >= 0, got {args.r}")
@@ -213,60 +264,12 @@ def _cmd_graph(args) -> int:
         f"wrote {len(graph.nodes)} nodes to {args.dot}; "
         f"components are trees with a root loop: {ok}"
     )
-    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "cover":
-            _print_word(covering(parse(args.word), args.r), canonical=False)
-            return 0
-        if args.command == "compose":
-            _print_word(compose(parse(args.first), parse(args.second)), canonical=False)
-            return 0
-        if args.command == "cable":
-            word, n = parse(args.word), args.n
-            _check_size("cable rank", word.rank * n * n + n - 1, MAX_WORD_RANK)
-            _print_word(cable(word, n), canonical=True)
-            return 0
-        if args.command == "rdot":
-            word = parse(args.word)
-            _check_size("r-dot rank", word.rank * args.r, MAX_WORD_RANK)
-            _print_word(r_dot(word, args.r), canonical=True)
-            return 0
-        if args.command == "preimage":
-            word = parse(args.word)
-            padding = sum(abs(v) for v in n_values(word).values())
-            _check_size("preimage rank", word.rank + padding, MAX_WORD_RANK)
-            _print_word(uncover_preimage(word, args.r), canonical=True)
-            return 0
-        if args.command == "gen":
-            rank = args.p + args.q if args.family == "gamma" else args.n
-            _check_size("family rank", rank, MAX_WORD_RANK)
-            word = (
-                gen_gamma_pq(args.p, args.q)
-                if args.family == "gamma"
-                else gen_alpha_n(args.n)
-            )
-            _print_word(word, canonical=True)
-            return 0
-        if args.command == "reduce":
-            reduced, trace = reduce_bounded(parse(args.word), _budget(args.budget))
-            print(reduced.text())
-            _print_trace(trace)
-            return 0
-        if args.command == "equiv":
-            return _cmd_equiv(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "tabulate":
-            return _cmd_tabulate(args)
-        if args.command == "graph":
-            return _cmd_graph(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args) or 0
     except (NanowordError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -505,12 +505,22 @@ def _pair_positions(n: int, m: int) -> Iterator[tuple[int, ...]]:
     return ((p, p + 1, q + 1, q + 2, r + 2, r + 3) for p, q, r in starts)
 
 
-def _h3_kind(alpha: Nanoword, positions: Sequence[int]) -> MoveKind | None:
-    """The H3-family kind whose pattern the three pairs at ``positions`` match.
+def _site_kind(alpha: Nanoword, positions: Sequence[int]) -> MoveKind | None:
+    """The letter-removing or H3-family kind of the pairs at ``positions``, or None.
 
-    See the module docstring for the rule.
+    One pair can only form an H1- site and two pairs an H2- or H2a- site;
+    three pairs follow the H3-family rule of the module docstring.
     """
     w = alpha.word
+    if len(positions) == 2:
+        return MoveKind.H1_DOWN if w[positions[0]] == w[positions[1]] else None
+    if len(positions) == 4:
+        a, b, c, d = [w[i] for i in positions]
+        if alpha._tmap[a] == alpha._tmap[b]:
+            return None
+        if (c, d) == (b, a):
+            return MoveKind.H2_DOWN
+        return MoveKind.H2A_DOWN if (c, d) == (a, b) else None
     x1, y1, x2, y2, x3, y3 = [w[i] for i in positions]
     # A is the letter P1 and P2 share, B the rest of P1, C the rest of P2.
     if x1 == x2 or x1 == y2:
@@ -535,20 +545,6 @@ def _h3_kind(alpha: Nanoword, positions: Sequence[int]) -> MoveKind | None:
     # the letter it lacks is odd, for all three pairs or for none.
     agree = {(x1 != a) == (c == odd), (x2 != a) == (b == odd), (x3 != b) == (a == odd)}
     return kind if len(agree) == 1 else None
-
-
-def _matches(alpha: Nanoword, kind: MoveKind, positions: Sequence[int]) -> bool:
-    """True iff the letter pairs at ``positions`` form a site of ``kind``."""
-    w = alpha.word
-    p = positions[0]
-    if kind is MoveKind.H1_DOWN:
-        return w[p] == w[p + 1]
-    if kind in (MoveKind.H2_DOWN, MoveKind.H2A_DOWN):
-        a, b = w[p], w[p + 1]
-        q = positions[2]
-        second = (b, a) if kind is MoveKind.H2_DOWN else (a, b)
-        return (w[q], w[q + 1]) == second and alpha._tmap[a] != alpha._tmap[b]
-    return _h3_kind(alpha, positions) is kind
 
 
 def find_sites(
@@ -580,7 +576,7 @@ def find_sites(
         sites = (
             MoveSite(kind, positions)
             for positions in _pair_positions(n, _PAIR_COUNT[kind])
-            if _matches(alpha, kind, positions)
+            if _site_kind(alpha, positions) is kind
         )
     return list(itertools.islice(sites, max_sites))
 
@@ -631,7 +627,7 @@ def apply_move(alpha: Nanoword, site: MoveSite) -> Nanoword:
             if e != s + 1 or s < previous + 2:
                 raise MoveError(f"bad pair positions {site.positions}")
             previous = s
-        if not _matches(alpha, kind, positions):
+        if _site_kind(alpha, positions) is not kind:
             raise MoveError(f"no {kind.value} pattern at {site.positions}")
         if kind in RANK_PRESERVING:
             chars = list(w)

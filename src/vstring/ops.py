@@ -220,7 +220,7 @@ def gen_alpha_n(n: int) -> Nanoword:
 
 
 def uncover_preimage(alpha: Nanoword, r: int) -> Nanoword:
-    """A word whose r-covering is ``alpha`` (up to renaming), for r != 1.
+    """A word whose r-covering is ``alpha`` (up to renaming), for r = 0 or r >= 2.
 
     Works for every r at once: each letter X with n(X) != 0 gets |n(X)|
     fresh letters nested around its second occurrence,
@@ -232,6 +232,8 @@ def uncover_preimage(alpha: Nanoword, r: int) -> Nanoword:
     added letter has weight +-1, so any covering with r != 1 deletes exactly
     the added letters.  The result always has zero u-polynomial.
     """
+    if r < 0:
+        raise ValueError(f"covering index must be >= 0, got {r}")
     if r == 1:
         raise ValueError("every word is its own 1-covering; no padding needed")
     base = canonical_relabel(alpha)

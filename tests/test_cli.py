@@ -91,6 +91,35 @@ class TestWordCommands:
         assert code == 1
         assert "error" in err
 
+    def test_stdout_fingerprint(self, capsys, monkeypatch, tmp_path):
+        # Default stdout of every word command, human `compute` and `graph`,
+        # followed by the DOT file `graph` writes.
+        monkeypatch.chdir(tmp_path)
+        table = [
+            ("cover", "ABCACB|aaa", "-r", "2"),
+            ("cover", "ABCADBECDE|aaaaa", "-r", "0"),
+            ("compose", "ABACDBDC|abbb", "ABACBC|abb"),
+            ("cable", "ABCACB|aaa", "-n", "2"),
+            ("cable", "XYXZYZ|abb", "-n", "3"),
+            ("rdot", "ABACBC|aab", "-r", "2"),
+            ("rdot", "ABAB|ab", "-r", "3"),
+            ("preimage", "ABAB|aa", "-r", "2"),
+            ("preimage", "ABCACB|aaa", "-r", "0"),
+            ("gen", "gamma", "2", "3"),
+            ("gen", "alphan", "5"),
+            ("compute", "ABCACB|aaa"),
+            ("compute", "0"),
+            ("compute", "ABCADBECDE|aaaaa"),
+            ("graph", "--max-rank", "3", "-r", "2", "--dot", "g.dot"),
+        ]
+        codes = [main(list(argv)) for argv in table]
+        data = capsys.readouterr().out.encode() + (tmp_path / "g.dot").read_bytes()
+        assert codes == [0] * len(table)
+        assert data.count(b"\n") == 85
+        assert hashlib.sha256(data).hexdigest() == (
+            "ce1232056c1dbc4625629aa1a0d838888310f681ecdd64f1c251bf2b3616c6b9"
+        )
+
 
 class TestSearchCommands:
     def test_reduce(self, capsys):
@@ -312,8 +341,13 @@ class TestSizeGuards:
                 "1,2",
                 "expected 3 comma-separated integers",
             ),
+            (
+                ("preimage", "ABAB|aa", "-r", "-3"),
+                None,
+                "covering index must be >= 0, got -3",
+            ),
         ],
-        ids=["graph-negative-r", "tabulate-bad-budget"],
+        ids=["graph-negative-r", "tabulate-bad-budget", "preimage-negative-r"],
     )
     def test_bad_arguments_keep_existing_output(
         self, capsys, monkeypatch, tmp_path, argv, budget, message

@@ -259,8 +259,9 @@ class TestUncoverPreimage:
         assert uncover_preimage(EMPTY, 2) == EMPTY
 
     def test_rejects_r_one(self):
-        with pytest.raises(ValueError):
-            uncover_preimage(parse("AA|a"), 1)
+        for r in (1, -3):
+            with pytest.raises(ValueError):
+                uncover_preimage(parse("AA|a"), r)
 
     def test_doubled_pair(self):
         pre = uncover_preimage(parse("ABAB|aa"), 2)
