@@ -14,8 +14,9 @@ variable ``VSTRING_BUDGET`` ("rank_increase,max_states,max_depth") overrides
 the default search budget.  Requests whose size would explode are rejected
 with exit code 1 before any work: ``cable``, ``rdot``, ``preimage`` and
 ``gen`` results above rank ``MAX_WORD_RANK``, ``--max-rank`` above
-``MAX_TABULATE_RANK`` = 6 (``tabulate``, ``graph``) or ``MAX_VERIFY_RANK``
-= 4 (``verify``), and a ``verify --sample`` below 0 or above ``MAX_VERIFY_SAMPLE``.
+``MAX_TABULATE_RANK`` = 6 (``tabulate``, ``graph``), ``MAX_ORACLE_RANK`` = 3
+(``tabulate --oracle``) or ``MAX_VERIFY_RANK`` = 4 (``verify``), and a
+``verify --sample`` below 0 or above ``MAX_VERIFY_SAMPLE``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ MAX_TABULATE_RANK = 6
 #: Largest ``--max-rank`` of ``verify``, whose suites do far more per word:
 #: move-invariance alone runs 921,482 instances at rank 5.
 MAX_VERIFY_RANK = 4
+#: Largest ``--max-rank`` of ``tabulate --oracle``, which runs one bounded
+#: search per word: with the default budget, rank 4 runs for minutes.
+MAX_ORACLE_RANK = 3
 #: Largest ``verify --sample``; ranks 4-5 hold only 3,246 shift classes.
 MAX_VERIFY_SAMPLE = 1000
 
@@ -243,7 +247,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tabulate(args) -> None:
-    _check_rank(args.max_rank, MAX_TABULATE_RANK)
+    _check_rank(args.max_rank, MAX_ORACLE_RANK if args.oracle else MAX_TABULATE_RANK)
     oracle = SearchBudget.from_env() if args.oracle else None
     count = 0
     with open(args.out, "w") as fh:

@@ -298,8 +298,11 @@ def canonical_relabel(alpha: Nanoword) -> Nanoword:
 
 
 def isomorphic(alpha: Nanoword, beta: Nanoword) -> bool:
-    """True iff the words agree after canonical relabelling."""
-    return canonical_relabel(alpha) == canonical_relabel(beta)
+    """True iff the words agree after canonical relabelling.
+
+    Compares the relabelled words and types without building either word.
+    """
+    return _relabelled_shift(alpha, 0) == _relabelled_shift(beta, 0)
 
 
 def shift(alpha: Nanoword) -> Nanoword:
@@ -348,53 +351,57 @@ def _name_ranks(rank: int) -> tuple[int, ...]:
     return tuple([position[name] for name in names])
 
 
-def _sorted_types(alpha: Nanoword, k: int) -> list[str]:
-    """Types of the canonical relabelling of ``shift^k(alpha)``, in name order."""
-    types = _relabelled_shift(alpha, k)[1]
-    return [types[name] for name in sorted(types)]
+def _least_rotations(word: tuple[str, ...], occ: Mapping[str, tuple[int, int]]) -> list[int]:
+    """The k whose rotation of ``word``, renamed, is least in printed order.
+
+    ``occ`` holds the two positions of each letter.  Rotation k is
+    ``word[k:] + word[:k]`` renamed in first-occurrence order, with each name
+    replaced by its sort position (``_name_ranks``), so the rotations
+    compare as integer sequences in the order of their printed words.  All
+    rotations are read together, position by position, and each is dropped
+    at its first element above the least one there.  The rotations left
+    share their labels so far, so a letter at position j takes the next
+    unused label when it is new to the rotation, and otherwise the label at
+    ``j - back``, where ``back`` is the cyclic distance back to the other
+    occurrence of that letter.  Returns the survivors in increasing order,
+    ``[0]`` for the empty word.
+    """
+    n = len(word)
+    back = [0] * n
+    for first, second in occ.values():
+        back[first] = n - second + first
+        back[second] = second - first
+    back += back
+    ranks = _name_ranks(n // 2)
+    labels = list(ranks[:1])  # every rotation starts with a new letter
+    fresh = len(labels)
+    candidates = list(range(n)) or [0]
+    for j in range(1, n):
+        # Once every letter has occurred, no rotation has a new one.
+        new = ranks[fresh] if fresh < len(ranks) else None
+        distances = [back[k + j] for k in candidates]
+        step = [labels[j - d] if d <= j else new for d in distances]
+        least = min(step)
+        candidates = [k for k, label in zip(candidates, step) if label == least]
+        if len(candidates) == 1:
+            break
+        labels.append(least)
+        fresh += least == new
+    return candidates
 
 
 def _shift_canonical_key(alpha: Nanoword) -> tuple[str, int]:
     """(canonical text, least k reaching it), computed once per word.
 
-    Rotation k is ``word[k:] + word[:k]`` renamed in first-occurrence order,
-    with each name replaced by its sort position (``_name_ranks``), so the
-    rotations compare as integer sequences in the order of their printed
-    words.  All rotations are read together, position by position, and each
-    is dropped at its first element above the least one there.  The
-    rotations left share their labels so far, so a letter at position j
-    takes the next unused label when it is new to the rotation, and
-    otherwise the label at ``j - back``, where ``back`` is the cyclic
-    distance back to the other occurrence of that letter.  Rotations equal
-    in the word are compared by their types in name order, and the least k
-    wins a full tie.  Only the winner is printed.
+    Only the rotations that ``_least_rotations`` keeps are printed.  They
+    agree in the word, so the least printed form among them is decided by
+    the types in name order, and the least k wins a full tie.
     """
     if alpha._canon is None:
-        n = len(alpha.word)
-        back = [0] * n
-        for first, second in alpha._occ.values():
-            back[first] = n - second + first
-            back[second] = second - first
-        back += back
-        ranks = _name_ranks(n // 2)
-        labels = list(ranks[:1])  # every rotation starts with a new letter
-        fresh = len(labels)
-        candidates = list(range(n)) or [0]
-        for j in range(1, n):
-            # Once every letter has occurred, no rotation has a new one.
-            new = ranks[fresh] if fresh < len(ranks) else None
-            distances = [back[k + j] for k in candidates]
-            step = [labels[j - d] if d <= j else new for d in distances]
-            least = min(step)
-            candidates = [k for k, label in zip(candidates, step) if label == least]
-            if len(candidates) == 1:
-                break
-            labels.append(least)
-            fresh += least == new
-        best_k = candidates[0]
-        if len(candidates) > 1:
-            best_k = min(candidates, key=lambda k: _sorted_types(alpha, k))
-        alpha._canon = (_text(*_relabelled_shift(alpha, best_k)), best_k)
+        alpha._canon = min(
+            (_text(*_relabelled_shift(alpha, k)), k)
+            for k in _least_rotations(alpha.word, alpha._occ)
+        )
     return alpha._canon
 
 

@@ -20,10 +20,12 @@ from .core import (
     TYPE_B,
     EMPTY,
     Nanoword,
-    canonical_relabel,
+    _least_rotations,
+    _occurrences,
     fresh_names,
     shift_canonical,
     shift_canonical_text,
+    shifts_to_canonical,
 )
 
 __all__ = [
@@ -68,18 +70,7 @@ def _with_all_types(words: Iterable[tuple[str, ...]], rank: int) -> Iterator[tup
 def all_nanowords(rank: int) -> Iterator[Nanoword]:
     """Every nanoword of the given rank in standard letter names."""
     for word, types in _with_all_types(standard_gauss_words(rank), rank):
-        yield Nanoword(word, types)
-
-
-def _least_rotation(word: tuple[str, ...]) -> bool:
-    """True iff no rotation of ``word``, renamed in first-occurrence order, is smaller."""
-    names = dict.fromkeys(word)
-    for k in range(1, len(word)):
-        rotated = word[k:] + word[:k]
-        renamed = dict(zip(dict.fromkeys(rotated), names))
-        if tuple([renamed[x] for x in rotated]) < word:
-            return False
-    return True
+        yield Nanoword(word, types, _trusted=True)
 
 
 def canonical_population(max_rank: int) -> list[Nanoword]:
@@ -91,17 +82,20 @@ def canonical_population(max_rank: int) -> list[Nanoword]:
     one type, so the Gauss words least among their rotations (1, 2, 5, 18,
     105, 902 at ranks 1-6), under all type maps, meet every orbit.  The
     printed form of an orbit's representative starts with the least rotation
-    of its Gauss word, so exactly one of those words per orbit is its own
-    representative, and only those are kept.
+    of its Gauss word, so a Gauss word g is kept when rotation 0 survives
+    ``_least_rotations`` of g, the pass that also keys the words.  Of the
+    typed words, exactly one per orbit is its own representative: the one
+    whose least k reaching the canonical form is 0, since its names are
+    already in first-occurrence order.  Only those are kept.
     """
     if max_rank < 0:
         raise ValueError(f"max rank {max_rank} is negative")
     words = [EMPTY]
     for rank in range(1, max_rank + 1):
-        gauss = filter(_least_rotation, standard_gauss_words(rank))
+        gauss = (g for g in standard_gauss_words(rank) if 0 in _least_rotations(g, _occurrences(g)))
         for word, types in _with_all_types(gauss, rank):
             w = Nanoword(word, types, _trusted=True)
-            if shift_canonical(w) is w:
+            if shifts_to_canonical(w) == 0:
                 words.append(w)
     return sorted(words, key=shift_canonical_text)
 
@@ -109,7 +103,11 @@ def canonical_population(max_rank: int) -> list[Nanoword]:
 def sample_nanowords(
     ranks: tuple[int, ...], count: int, seed: int
 ) -> list[Nanoword]:
-    """Deterministic sample of distinct shift-canonical words at the given ranks."""
+    """Deterministic sample of distinct shift-canonical words at the given ranks.
+
+    Each attempt draws a rank, shuffles a Gauss word of that rank and draws
+    the types of its letters in first-occurrence order.
+    """
     rng = random.Random(seed)
     seen: dict[str, Nanoword] = {}
     attempts = 0
@@ -119,9 +117,8 @@ def sample_nanowords(
         names = fresh_names((), rank)
         seq = [names[i // 2] for i in range(2 * rank)]
         rng.shuffle(seq)
-        word = canonical_relabel(Nanoword(tuple(seq), dict.fromkeys(names, TYPE_A), _trusted=True))
-        types = {x: rng.choice((TYPE_A, TYPE_B)) for x in word.letters}
-        w = Nanoword(word.word, types, _trusted=True)
+        types = {x: rng.choice((TYPE_A, TYPE_B)) for x in dict.fromkeys(seq)}
+        w = Nanoword(tuple(seq), types, _trusted=True)
         key = shift_canonical_text(w)
         if key not in seen:
             seen[key] = shift_canonical(w)

@@ -69,6 +69,7 @@ __all__ = [
     "composite_based_matrix",
     "cable_reduced_based_matrix",
     "distinguish",
+    "invariant_bundle",
 ]
 
 logger = logging.getLogger(__name__)
@@ -316,10 +317,8 @@ def th_realizable(
             # Rename so row i of the requested matrices is the i-th letter
             # of the result in lexicographic order.
             mapping = {word.letters[perm[i]]: names[i] for i in range(k)}
-            return Nanoword(
-                (mapping[x] for x in word.word),
-                {mapping[x]: word.type_of(x) for x in word.letters},
-            )
+            types = {mapping[x]: word.type_of(x) for x in word.letters}
+            return Nanoword(tuple([mapping[x] for x in word.word]), types, _trusted=True)
     return None
 
 

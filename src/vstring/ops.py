@@ -198,7 +198,7 @@ def gen_gamma_pq(p: int, q: int) -> Nanoword:
     xs = [f"X.{i}" for i in range(1, p + 1)]
     ys = [f"Y.{j}" for j in range(1, q + 1)]
     word = xs + ys + xs[::-1] + ys[::-1]
-    return Nanoword(word, {x: TYPE_A for x in xs + ys})
+    return Nanoword(tuple(word), {x: TYPE_A for x in xs + ys}, _trusted=True)
 
 
 def gen_alpha_n(n: int) -> Nanoword:
@@ -216,7 +216,7 @@ def gen_alpha_n(n: int) -> Nanoword:
         word.extend((names[i], names[i - 1]))
     tmap = {names[i]: TYPE_A for i in range(n - 1)}
     tmap[names[n - 1]] = TYPE_B
-    return Nanoword(word, tmap)
+    return Nanoword(tuple(word), tmap, _trusted=True)
 
 
 def uncover_preimage(alpha: Nanoword, r: int) -> Nanoword:
@@ -259,7 +259,7 @@ def uncover_preimage(alpha: Nanoword, r: int) -> Nanoword:
         out.extend(pad)
         out.append(name)
         out.extend(reversed(pad))
-    return Nanoword(out, tmap)
+    return Nanoword(tuple(out), tmap, _trusted=True)
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,9 @@ from .core import (
     RANK_INCREASING,
     RANK_PRESERVING,
     apply_move,
-    canonical_relabel,
     find_sites,
     invert_steps,
+    isomorphic,
     shift,
     shift_canonical,
     shift_canonical_text,
@@ -224,7 +224,7 @@ def _join_traces(
     back = [_anonymize(site) for site in invert_steps(beta, full_b)]
     trace = MoveTrace(alpha, tuple(_cancel_shift_pairs(full_a + back)))
     end = trace.end()
-    if canonical_relabel(end) != canonical_relabel(beta):
+    if not isomorphic(end, beta):
         raise AssertionError("search produced an invalid equivalence trace")
     return trace
 

@@ -282,6 +282,7 @@ class TestSizeGuards:
             # rank 200 + sum |n(X)| 20,000 = 20,200
             (("preimage", gen_gamma_pq(100, 100).text(), "-r", "2"), "uncover_preimage"),
             (("verify", "structural", "--max-rank", "5"), "run_suite"),
+            (("tabulate", "--max-rank", "4", "--out", "t.jsonl", "--oracle"), "tabulation_records"),
         ],
     )
     def test_rejected_before_building(
