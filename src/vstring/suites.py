@@ -5,6 +5,10 @@ population: every shift-canonical word of rank <= 3 (all type assignments)
 plus a fixed-seed random sample at ranks 4-5.  Suites report instance counts
 and the first few failures; they are used both by the command-line ``verify``
 subcommand and by the acceptance tests.
+
+A population is built once per ``(max_rank, seed, sample)`` and shared, as a
+tuple, by every suite that asks for it.  A check takes its failure label as a
+``%``-format and its arguments, and renders the label only when it fails.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,13 +61,14 @@ class SuiteReport:
     failed: int = 0
     failures: list[str] = field(default_factory=list)
 
-    def check(self, ok: bool, label: str) -> None:
+    def check(self, ok: bool, label: str, *args: object) -> None:
+        """Count one instance; a failure's label is ``label % args``."""
         if ok:
             self.passed += 1
         else:
             self.failed += 1
             if len(self.failures) < 20:
-                self.failures.append(label)
+                self.failures.append(label % args if args else label)
 
     @property
     def total(self) -> int:
@@ -73,12 +79,17 @@ class SuiteReport:
         return f"{self.name}: {self.passed}/{self.total} instances pass [{status}]"
 
 
-def population(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int = _SAMPLE_COUNT) -> list[Nanoword]:
-    """Exhaustive words up to ``max_rank`` plus a fixed-seed rank 4-5 sample."""
+@lru_cache(maxsize=8)
+def population(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int = _SAMPLE_COUNT) -> tuple[Nanoword, ...]:
+    """Exhaustive words up to ``max_rank`` plus a fixed-seed rank 4-5 sample.
+
+    One shared tuple per argument tuple; the suites pass all three
+    positionally, so each setting is built once per process.
+    """
     words = canonical_population(max_rank)
     if sample:
         words += sample_nanowords((4, 5), sample, seed)
-    return words
+    return tuple(words)
 
 
 def _applicable_sites(word: Nanoword, cap_adds: int | None):
@@ -103,7 +114,7 @@ def suite_move_invariance(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: 
                 and rho(moved) == r0
                 and bm_isomorphic(primitive_based_matrix(moved), p0)
             )
-            report.check(ok, f"{word.text()} under {site}")
+            report.check(ok, "%s under %s", word, site)
     return report
 
 
@@ -113,33 +124,33 @@ def suite_structural(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int =
     words = population(max_rank, seed, sample)
     for word in words:
         nv = n_values(word)
-        report.check(sum(nv.values()) == 0, f"sum n != 0 for {word.text()}")
+        report.check(sum(nv.values()) == 0, "sum n != 0 for %s", word)
         report.check(
             all(abs(v) < max(word.rank, 1) for v in nv.values()),
-            f"|n| >= rank for {word.text()}",
+            "|n| >= rank for %s", word,
         )
         m = based_matrix(word)
         diff = m.pairing[1:, 1:]
         report.check(
             bool(np.array_equal(diff, -diff.T)),
-            f"inner block not skew for {word.text()}",
+            "inner block not skew for %s", word,
         )
         report.check(
             all(m.b(x, "s") == nv[x] for x in word.letters),
-            f"border != n for {word.text()}",
+            "border != n for %s", word,
         )
         report.check(
-            u_realizable(u_polynomial(word)), f"u not realizable for {word.text()}"
+            u_realizable(u_polynomial(word)), "u not realizable for %s", word
         )
         for r in range(word.rank + 2):
             deleted = word.rank - covering(word, r).rank
-            report.check(deleted != 1, f"cover[{r}] deleted one letter of {word.text()}")
+            report.check(deleted != 1, "cover[%d] deleted one letter of %s", r, word)
     rng = random.Random(seed)
     pairs = [(rng.choice(words), rng.choice(words)) for _ in range(60)]
     for a, b in pairs:
         report.check(
             u_polynomial(compose(a, b)) == u_polynomial(a) + u_polynomial(b),
-            f"u not additive for {a.text()} * {b.text()}",
+            "u not additive for %s * %s", a, b,
         )
     return report
 
@@ -152,7 +163,7 @@ def suite_u_cable(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int = _S
         for n in (2, 3):
             report.check(
                 u_polynomial(cable(word, n)) == expected.cable_transform(n),
-                f"{word.text()} n={n}",
+                "%s n=%d", word, n,
             )
     return report
 
@@ -164,7 +175,7 @@ def suite_cover_cable_commute(max_rank: int = 3, seed: int = _DEFAULT_SEED, samp
         for n, r in ((2, 2), (2, 4), (3, 2), (2, 0), (3, 0)):
             k = 0 if r == 0 else r // math.gcd(n, r)
             ok = isomorphic(covering(cable(word, n), r), cable(covering(word, k), n))
-            report.check(ok, f"{word.text()} n={n} r={r}")
+            report.check(ok, "%s n=%d r=%d", word, n, r)
         for n in (2, 3):
             cab = cable(word, n)
             for r in (0, 2, 3):
@@ -172,7 +183,7 @@ def suite_cover_cable_commute(max_rank: int = 3, seed: int = _DEFAULT_SEED, samp
                 fixed_cable = covering(cab, r * n) == cab
                 report.check(
                     fixed_word == fixed_cable,
-                    f"fixedness transfer {word.text()} n={n} r={r}",
+                    "fixedness transfer %s n=%d r=%d", word, n, r,
                 )
     return report
 
@@ -195,7 +206,7 @@ def suite_composite_bm(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int
         order = ["s", *a.letters, *(fresh_of[x] for x in b.letters)]
         idx = [actual.elements.index(x) for x in order]
         ok = np.array_equal(predicted.pairing, actual.pairing[np.ix_(idx, idx)])
-        report.check(ok, f"{a.text()} * {b.text()}")
+        report.check(ok, "%s * %s", a, b)
     return report
 
 
@@ -209,21 +220,21 @@ def suite_rho_bounds(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int =
             delta = 1 if n % 2 == 0 else 0
             report.check(
                 rho(cable(word, n)) <= n * n * r0 + delta,
-                f"cable bound {word.text()} n={n}",
+                "cable bound %s n=%d", word, n,
             )
     same_type = [
         w
-        for w in canonical_population(max_rank)
+        for w in population(max_rank, seed, 0)
         if w.rank and len({w.type_of(x) for x in w.letters}) == 1
     ]
     for a, b in itertools.product(same_type, repeat=2):
         if a.type_of(a.letters[0]) != b.type_of(b.letters[0]):
             continue
         composite, parts = rho(compose(a, b)), rho(a) + rho(b)
-        report.check(composite >= parts, f"superadditivity {a.text()} * {b.text()}")
+        report.check(composite >= parts, "superadditivity %s * %s", a, b)
         if rho(a) == a.rank and rho(b) == b.rank:
             report.check(
-                composite == parts, f"additivity on primitives {a.text()} * {b.text()}"
+                composite == parts, "additivity on primitives %s * %s", a, b
             )
     return report
 
@@ -239,7 +250,7 @@ def suite_reduction_confluence(max_rank: int = 3, seed: int = _DEFAULT_SEED, sam
             alt, _ = reduce_to_primitive(m, rng=rng)
             report.check(
                 bm_isomorphic(reference, alt),
-                f"confluence failed for {word.text()}",
+                "confluence failed for %s", word,
             )
     return report
 

@@ -3,9 +3,10 @@
 The reference functions below are the straightforward forms.  One builds
 every word of the shift orbit, relabels each one and compares printed forms;
 the other prints the relabelling of every rotation of the letter tuple and
-takes the least (text, k).  The library finds the least rotation on integer
-labels, drops each rotation at its first larger label, and prints only the
-winner.  The population reference keys every raw word of each rank; the
+takes the least (text, k).  The library compares the rotations on integer
+labels of the Gauss word, drops each rotation at its first larger label, and
+prints every rotation that ties on the least one (one rotation in the common
+case).  The population reference keys every raw word of each rank; the
 library keys only one Gauss word per rotation class.
 """
 

@@ -198,6 +198,28 @@ class TestVerify:
         assert code == 2
         assert "FAIL synthetic failure" in out
 
+    def test_failure_labels_name_word_and_site(self, monkeypatch):
+        import itertools
+
+        import vstring.suites as suites
+
+        fresh = itertools.count()
+        monkeypatch.setattr(suites, "rho", lambda word: next(fresh))
+        report = suites.suite_move_invariance(max_rank=1, sample=0)
+        word = suites.population(1, 7, 0)[0]
+        site = next(suites._applicable_sites(word, None))
+        assert report.passed == 0 and len(report.failures) == 20
+        assert report.failures[0] == f"{word.text()} under {site}"
+
+    def test_cable_failure_labels_name_word_n_and_r(self, monkeypatch):
+        import vstring.suites as suites
+
+        monkeypatch.setattr(suites, "isomorphic", lambda a, b: False)
+        report = suites.suite_cover_cable_commute(max_rank=1, sample=0)
+        word = suites.population(1, 7, 0)[0]
+        assert report.failures[0] == f"{word.text()} n=2 r=2"
+        assert report.failures[4] == f"{word.text()} n=3 r=0"
+
 
 class TestTabulate:
     def test_deterministic_and_reproducible(self, tmp_path, capsys):

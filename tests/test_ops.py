@@ -25,6 +25,7 @@ from vstring.ops import (
     uncover_preimage,
 )
 from vstring.search import SearchBudget
+from vstring.suites import population
 
 from test_core import nanowords
 
@@ -166,6 +167,24 @@ class TestCable:
         with pytest.raises(ValueError):
             cable(parse("AA|a"), 0)
 
+    def test_equal_requests_share_one_cable(self):
+        for text in ("AA|a", "ABAB|ab", "ABCACB|aaa", "ABCDBEDEAC|baaaa"):
+            w = parse(text)
+            for n in (2, 3):
+                assert cable(w, n) is cable(parse(w.text()), n)
+
+    def test_width_one_is_the_first_equal_word(self):
+        cable.cache_clear()
+        w = parse("ABCACB|aaa")
+        assert cable(w, 1) is w
+        assert cable(parse(w.text()), 1) is w
+
+    def test_bad_width_raises_on_every_call(self):
+        w = parse("AA|a")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                cable(w, 0)
+
     @given(nanowords(max_rank=3), st.sampled_from([2, 3]))
     @settings(max_examples=40, deadline=None)
     def test_rank_formula(self, w, n):
@@ -188,6 +207,13 @@ class TestCable:
     def test_rho_bound(self, w, n):
         delta = 1 if n % 2 == 0 else 0
         assert rho(cable(w, n)) <= n * n * rho(w) + delta
+
+
+class TestPopulation:
+    def test_one_shared_tuple_per_setting(self):
+        words = population(3, 7, 200)
+        assert isinstance(words, tuple)
+        assert population(3, 7, 200) is words
 
 
 class TestRDot:
