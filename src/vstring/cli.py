@@ -13,7 +13,8 @@ usage or input errors, 2 when a verification suite fails.  The environment
 variable ``VSTRING_BUDGET`` ("rank_increase,max_states,max_depth") overrides
 the default search budget.  Requests whose size would explode are rejected
 with exit code 1 before any work: ``cable``, ``rdot``, ``preimage`` and
-``gen`` results above rank ``MAX_WORD_RANK``, ``--max-rank`` above
+``gen`` results above rank ``MAX_WORD_RANK``, ``compute`` and ``equiv``
+words above rank ``MAX_MATRIX_RANK`` = 1000, ``--max-rank`` above
 ``MAX_TABULATE_RANK`` = 6 (``tabulate``, ``graph``), ``MAX_ORACLE_RANK`` = 3
 (``tabulate --oracle``) or ``MAX_VERIFY_RANK`` = 4 (``verify``), and a
 ``verify --sample`` below 0 or above ``MAX_VERIFY_SAMPLE``.
@@ -39,6 +40,9 @@ __all__ = ["main", "build_parser"]
 #: Largest rank of a word that ``cable``, ``rdot``, ``preimage`` and ``gen``
 #: will build.
 MAX_WORD_RANK = 10_000
+#: Largest rank of a word that ``compute`` and ``equiv`` will take: reducing
+#: its based matrix costs O(rank^3) time and O(rank^2) memory.
+MAX_MATRIX_RANK = 1000
 #: Largest ``--max-rank`` that ``tabulate`` and ``graph`` will enumerate;
 #: the raw word count grows factorially with the rank.
 MAX_TABULATE_RANK = 6
@@ -163,6 +167,7 @@ def _print_trace(trace: MoveTrace) -> None:
 
 def _cmd_compute(args) -> None:
     word = parse(args.word)
+    _check_size("word rank", word.rank, MAX_MATRIX_RANK)
     bundle = invariant_bundle(word)
     if args.as_json:
         print(json.dumps(bundle, sort_keys=True))
@@ -218,8 +223,10 @@ def _cmd_reduce(args) -> None:
 
 
 def _cmd_equiv(args) -> None:
-    budget = _budget(args.budget)
-    result = equivalent_bounded(parse(args.first), parse(args.second), budget)
+    words = parse(args.first), parse(args.second)
+    for word in words:
+        _check_size("word rank", word.rank, MAX_MATRIX_RANK)
+    result = equivalent_bounded(*words, _budget(args.budget))
     print(result.verdict)
     if result.trace is not None:
         _print_trace(result.trace)

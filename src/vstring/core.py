@@ -46,6 +46,7 @@ import enum
 import functools
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -132,35 +133,28 @@ class Nanoword:
     def __init__(
         self, word: Iterable[str], types: Mapping[str, str], *, _trusted: bool = False
     ):
-        if _trusted:
-            tmap, occ = types, _occurrences(word)
-        else:
+        if not _trusted:
             word = tuple(word)
-            positions: dict[str, list[int]] = {}
-            for i, name in enumerate(word):
+            for name in word:
                 _check_name(name)
-                positions.setdefault(name, []).append(i)
-            for name, where in positions.items():
-                if len(where) != 2:
-                    raise NanowordError(
-                        f"letter {name} occurs {len(where)} time(s), expected 2"
-                    )
-            tmap = dict(types)
-            if set(tmap) != set(positions):
-                missing = set(positions) - set(tmap)
-                extra = set(tmap) - set(positions)
+            for name, count in Counter(word).items():
+                if count != 2:
+                    raise NanowordError(f"letter {name} occurs {count} time(s), expected 2")
+            types = dict(types)
+            if set(types) != set(word):
+                missing = set(word) - set(types)
+                extra = set(types) - set(word)
                 raise NanowordError(
                     f"type assignment does not match letters (missing={sorted(missing)},"
                     f" extra={sorted(extra)})"
                 )
-            for name, t in tmap.items():
+            for name, t in types.items():
                 if t not in (TYPE_A, TYPE_B):
                     raise NanowordError(f"invalid type {t!r} for letter {name}")
-            occ = {name: (p[0], p[1]) for name, p in positions.items()}
         self.word = word
-        self._tmap = tmap
-        self._letters = tuple(sorted(tmap))
-        self._occ = occ
+        self._tmap = types
+        self._letters = tuple(sorted(types))
+        self._occ = _occurrences(word)
         self._hash: int | None = None
         self._canon: tuple[str, int] | None = None
 
@@ -273,20 +267,25 @@ def _text(word: tuple[str, ...], tmap: Mapping[str, str]) -> str:
     return f"{tokens} | {binds}"
 
 
-def _relabelled_shift(alpha: Nanoword, k: int) -> tuple[tuple[str, ...], dict[str, str]]:
-    """Word and types of ``shift^k(alpha)``, renamed A, B, ... in first-occurrence order.
+def _rotation(alpha: Nanoword, k: int) -> tuple[tuple[str, ...], dict[str, str]]:
+    """Word and types of ``shift^k(alpha)``, for 0 <= k <= len(word).
 
-    Rotation k is ``word[k:] + word[:k]``; a letter whose first occurrence is
-    carried past the base point but whose second is not has its type flipped.
+    Rotation k is ``word[k:] + word[:k]``.  A letter carried past the base
+    point changes type: each letter of ``word[:k]`` whose second occurrence
+    is at or after k is flipped.
     """
-    rotated = alpha.word[k:] + alpha.word[:k]
+    types = dict(alpha._tmap)
+    for name in alpha.word[:k]:
+        if alpha._occ[name][1] >= k:
+            types[name] = _other(types[name])
+    return alpha.word[k:] + alpha.word[:k], types
+
+
+def _relabelled_shift(alpha: Nanoword, k: int) -> tuple[tuple[str, ...], dict[str, str]]:
+    """Rotation k of ``alpha``, renamed A, B, ... in first-occurrence order."""
+    rotated, types = _rotation(alpha, k)
     names = dict(zip(dict.fromkeys(rotated), _canonical_names(alpha.rank)))
-    types: dict[str, str] = {}
-    for old, new in names.items():
-        first, second = alpha._occ[old]
-        t = alpha._tmap[old]
-        types[new] = _other(t) if first < k <= second else t
-    return tuple([names[x] for x in rotated]), types
+    return tuple([names[x] for x in rotated]), {new: types[old] for old, new in names.items()}
 
 
 def canonical_relabel(alpha: Nanoword) -> Nanoword:
@@ -306,23 +305,17 @@ def isomorphic(alpha: Nanoword, beta: Nanoword) -> bool:
 
 
 def shift(alpha: Nanoword) -> Nanoword:
-    """Move the first letter to the end, flipping its type (base-point slide)."""
+    """Rotation 1: the first letter moves to the end (base-point slide)."""
     if not alpha.word:
         return alpha
-    moved = alpha.word[0]
-    tmap = alpha.types()
-    tmap[moved] = _other(tmap[moved])
-    return Nanoword(alpha.word[1:] + (moved,), tmap, _trusted=True)
+    return Nanoword(*_rotation(alpha, 1), _trusted=True)
 
 
 def shift_inv(alpha: Nanoword) -> Nanoword:
-    """Move the last letter to the front, flipping its type; inverse of shift."""
+    """Rotation n - 1: the last letter moves to the front; inverse of shift."""
     if not alpha.word:
         return alpha
-    moved = alpha.word[-1]
-    tmap = alpha.types()
-    tmap[moved] = _other(tmap[moved])
-    return Nanoword((moved,) + alpha.word[:-1], tmap, _trusted=True)
+    return Nanoword(*_rotation(alpha, len(alpha.word) - 1), _trusted=True)
 
 
 def shift_orbit(alpha: Nanoword) -> list[Nanoword]:

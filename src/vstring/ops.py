@@ -4,9 +4,10 @@
   divisible by r (for r = 0: exactly the letters with n(X) = 0) and is
   well-defined on virtual strings.
 * ``coverings(alpha)`` is the table of every informative r-covering,
-  r = 0 and 2..rank: the 1-covering is the word itself, and every r above
-  each |n(X)| gives the 0-covering.  Equal proper coverings, of one word or
-  of different words, are one shared, immutable object.
+  r = 0 and 2..rank, each read from ``covering``: the 1-covering is the word
+  itself, and every r above each |n(X)| gives the 0-covering.  Equal proper
+  coverings, of one word or of different words, are one shared, immutable
+  object.
 * ``compose(alpha, beta)`` concatenates after renaming beta's letters fresh;
   the result depends on the chosen base points, so it is an operation on
   words, not on virtual strings.
@@ -26,7 +27,6 @@ Generators for the two standard families used throughout the test suites
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,7 +63,12 @@ def covering(alpha: Nanoword, r: int) -> Nanoword:
     """
     if r < 0:
         raise ValueError(f"covering index must be >= 0, got {r}")
-    return _cover(alpha, n_values(alpha), r)
+    nv = n_values(alpha)
+    kept = {x for x in alpha.letters if (nv[x] % r if r else nv[x]) == 0}
+    if len(kept) == alpha.rank:
+        return alpha
+    types = tuple([(x, alpha.type_of(x)) for x in alpha.letters if x in kept])
+    return _subword(tuple([x for x in alpha.word if x in kept]), types)
 
 
 def coverings(alpha: Nanoword) -> dict[int, Nanoword]:
@@ -72,17 +77,7 @@ def coverings(alpha: Nanoword) -> dict[int, Nanoword]:
     Each value is ``covering(alpha, r)``, so coverings that keep the same
     letters are one object.
     """
-    nv = n_values(alpha)
-    return {r: _cover(alpha, nv, r) for r in (0, *range(2, alpha.rank + 1))}
-
-
-def _cover(alpha: Nanoword, nv: Mapping[str, int], r: int) -> Nanoword:
-    """The subword of the letters X with n(X) divisible by r (r = 0: n(X) = 0)."""
-    kept = {x for x in alpha.letters if (nv[x] % r if r else nv[x]) == 0}
-    if len(kept) == alpha.rank:
-        return alpha
-    types = tuple([(x, alpha.type_of(x)) for x in alpha.letters if x in kept])
-    return _subword(tuple([x for x in alpha.word if x in kept]), types)
+    return {r: covering(alpha, r) for r in (0, *range(2, alpha.rank + 1))}
 
 
 @lru_cache(maxsize=8192)

@@ -80,11 +80,11 @@ class SuiteReport:
 
 
 @lru_cache(maxsize=8)
-def population(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int = _SAMPLE_COUNT) -> tuple[Nanoword, ...]:
+def population(max_rank: int, seed: int, sample: int, /) -> tuple[Nanoword, ...]:
     """Exhaustive words up to ``max_rank`` plus a fixed-seed rank 4-5 sample.
 
-    One shared tuple per argument tuple; the suites pass all three
-    positionally, so each setting is built once per process.
+    One shared tuple per setting: the three arguments are required and
+    positional, so the cache sees each setting spelled one way only.
     """
     words = canonical_population(max_rank)
     if sample:

@@ -44,13 +44,11 @@ def tabulation_records(max_rank: int, *, oracle=None) -> Iterator[dict]:
     """
     words = canonical_population(max_rank)
     if oracle is not None:
+        # The population is sorted by text, so each class keeps its first word.
         by_reduced: dict[str, Nanoword] = {}
         for w in words:
-            reduced, _ = reduce_bounded(w, oracle)
-            key = shift_canonical_text(reduced)
-            if key not in by_reduced or w.text() < by_reduced[key].text():
-                by_reduced[key] = w
-        words = sorted(by_reduced.values(), key=lambda w: w.text())
+            by_reduced.setdefault(shift_canonical_text(reduce_bounded(w, oracle)[0]), w)
+        words = list(by_reduced.values())
     return map(record_for, words)
 
 

@@ -1,7 +1,9 @@
 """Differential tests of shift canonicalisation, populations and name allocation.
 
-The reference functions below are the straightforward forms.  One builds
-every word of the shift orbit, relabels each one and compares printed forms;
+The reference functions below are the straightforward forms.  The shift
+reference moves one letter to the other end and flips its type, so it shares
+no code with the library's rotation.  One reference builds every word of the
+shift orbit with it, relabels each one and compares printed forms;
 the other prints the relabelling of every rotation of the letter tuple and
 takes the least (text, k).  The library compares the rotations on integer
 labels of the Gauss word, drops each rotation at its first larger label, and
@@ -21,6 +23,7 @@ from vstring.core import (
     _least_rotations,
     _occurrences,
     _relabelled_shift,
+    _rotation,
     _shift_canonical_key,
     _text,
     canonical_relabel,
@@ -30,6 +33,7 @@ from vstring.core import (
     shift,
     shift_canonical,
     shift_canonical_text,
+    shift_inv,
     shift_orbit,
     shifts_to_canonical,
 )
@@ -58,9 +62,38 @@ def ref_canonical_relabel(alpha: Nanoword) -> Nanoword:
     )
 
 
+def _ref_flip(alpha: Nanoword, name: str) -> dict[str, str]:
+    types = alpha.types()
+    types[name] = "b" if types[name] == "a" else "a"
+    return types
+
+
+def ref_shift(alpha: Nanoword) -> Nanoword:
+    """Move the first letter to the end and flip its type."""
+    if not alpha.word:
+        return alpha
+    moved = alpha.word[0]
+    return Nanoword(alpha.word[1:] + (moved,), _ref_flip(alpha, moved), _trusted=True)
+
+
+def ref_shift_inv(alpha: Nanoword) -> Nanoword:
+    """Move the last letter to the front and flip its type."""
+    if not alpha.word:
+        return alpha
+    moved = alpha.word[-1]
+    return Nanoword((moved,) + alpha.word[:-1], _ref_flip(alpha, moved), _trusted=True)
+
+
+def ref_shift_orbit(alpha: Nanoword) -> list[Nanoword]:
+    orbit = [alpha]
+    while (current := ref_shift(orbit[-1])) != alpha:
+        orbit.append(current)
+    return orbit
+
+
 def ref_shift_canonical(alpha: Nanoword) -> Nanoword:
     return min(
-        (ref_canonical_relabel(w) for w in shift_orbit(alpha)),
+        (ref_canonical_relabel(w) for w in ref_shift_orbit(alpha)),
         key=lambda w: w.text(),
     )
 
@@ -70,7 +103,7 @@ def ref_shifts_to_canonical(alpha: Nanoword) -> int:
     current = alpha
     k = 0
     while ref_canonical_relabel(current).text() != target:
-        current = shift(current)
+        current = ref_shift(current)
         k += 1
     return k
 
@@ -192,10 +225,28 @@ def named_nanowords(draw, max_rank=7):
     return Nanoword((names[i] for i in seq), types)
 
 
+def assert_rotations_match_reference(w: Nanoword) -> None:
+    assert shift(w) == ref_shift(w)
+    assert shift_inv(w) == ref_shift_inv(w)
+    assert shift_orbit(w) == ref_shift_orbit(w)
+    rotated = w
+    for k in range(len(w.word) + 1):
+        assert Nanoword(*_rotation(w, k)) == rotated
+        assert Nanoword(*_relabelled_shift(w, k)) == ref_canonical_relabel(rotated)
+        assert canonical_relabel(rotated) == ref_canonical_relabel(rotated)
+        rotated = ref_shift(rotated)
+
+
+def test_rotations_on_rank_4_population():
+    for w in canonical_population(4):
+        assert_rotations_match_reference(w)
+
+
 @given(named_nanowords())
 @settings(max_examples=200, deadline=None)
 def test_extended_names(w):
     assert_matches_reference(w)
+    assert_rotations_match_reference(w)
 
 
 @pytest.mark.parametrize(

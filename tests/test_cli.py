@@ -9,7 +9,7 @@ from vstring.cli import main
 from vstring.core import parse
 from vstring.enumeration import canonical_population
 from vstring.invariants import invariant_bundle
-from vstring.ops import cable, gen_gamma_pq
+from vstring.ops import cable, gen_alpha_n, gen_gamma_pq
 from vstring.tabulate import record_for, record_to_json, tabulation_records
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -305,6 +305,8 @@ class TestSizeGuards:
             (("preimage", gen_gamma_pq(100, 100).text(), "-r", "2"), "uncover_preimage"),
             (("verify", "structural", "--max-rank", "5"), "run_suite"),
             (("tabulate", "--max-rank", "4", "--out", "t.jsonl", "--oracle"), "tabulation_records"),
+            (("compute", gen_alpha_n(1001).text()), "invariant_bundle"),
+            (("equiv", gen_alpha_n(1001).text(), "0"), "equivalent_bounded"),
         ],
     )
     def test_rejected_before_building(

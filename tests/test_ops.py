@@ -214,6 +214,11 @@ class TestPopulation:
         words = population(3, 7, 200)
         assert isinstance(words, tuple)
         assert population(3, 7, 200) is words
+        # Spelled any other way, the same setting would miss the cache.
+        with pytest.raises(TypeError):
+            population(3)
+        with pytest.raises(TypeError):
+            population(max_rank=3, seed=7, sample=200)
 
 
 class TestRDot:
