@@ -9,12 +9,15 @@ export (``graph``).  Each subcommand, and each ``gen`` family, has one
 registers it as ``run``, and ``main`` only calls it.
 
 Exit codes: 0 for success (including an "unknown" equivalence verdict), 1 for
-usage or input errors, 2 when a verification suite fails.  The environment
-variable ``VSTRING_BUDGET`` ("rank_increase,max_states,max_depth") overrides
-the default search budget.  Requests whose size would explode are rejected
-with exit code 1 before any work: ``cable``, ``rdot``, ``preimage`` and
-``gen`` results above rank ``MAX_WORD_RANK``, ``compute`` and ``equiv``
-words above rank ``MAX_MATRIX_RANK`` = 1000, ``--max-rank`` above
+usage or input errors, 2 when a verification suite fails.  Output depends on
+the arguments only: ``reduce`` and ``equiv`` search with ``--budget``
+("rank_increase,max_states,max_depth") or ``DEFAULT_BUDGET``, and
+``tabulate --oracle`` with ``tabulate.ORACLE_BUDGET``.  Each ``verify``
+default is stated once, in ``build_parser``.  Requests whose size would
+explode are rejected with exit code 1 before any work: ``cable``, ``rdot``,
+``preimage`` and ``gen`` results above rank ``MAX_WORD_RANK``, ``compute``
+words above rank ``MAX_MATRIX_RANK`` = 1000, ``reduce`` and ``equiv`` words
+above rank ``MAX_SEARCH_RANK`` = 32, ``--max-rank`` above
 ``MAX_TABULATE_RANK`` = 6 (``tabulate``, ``graph``), ``MAX_ORACLE_RANK`` = 3
 (``tabulate --oracle``) or ``MAX_VERIFY_RANK`` = 4 (``verify``), and a
 ``verify --sample`` below 0 or above ``MAX_VERIFY_SAMPLE``.
@@ -31,7 +34,7 @@ from .core import MoveTrace, NanowordError, canonical_relabel, parse
 from .enumeration import canonical_population
 from .invariants import invariant_bundle, n_values, u_polynomial
 from .ops import cable, compose, covering, gen_alpha_n, gen_gamma_pq, r_dot, uncover_preimage
-from .search import SearchBudget, covering_graph, equivalent_bounded, reduce_bounded
+from .search import DEFAULT_BUDGET, SearchBudget, covering_graph, equivalent_bounded, reduce_bounded
 from .suites import SUITES, run_suite
 from .tabulate import tabulation_records, record_to_json
 
@@ -40,9 +43,13 @@ __all__ = ["main", "build_parser"]
 #: Largest rank of a word that ``cable``, ``rdot``, ``preimage`` and ``gen``
 #: will build.
 MAX_WORD_RANK = 10_000
-#: Largest rank of a word that ``compute`` and ``equiv`` will take: reducing
-#: its based matrix costs O(rank^3) time and O(rank^2) memory.
+#: Largest rank of a word that ``compute`` will take: reducing its based
+#: matrix costs O(rank^3) time and O(rank^2) memory.
 MAX_MATRIX_RANK = 1000
+#: Largest rank of a word that ``reduce`` and ``equiv`` will search from: one
+#: expansion of a rank-k state costs about k^3, from the H3-family sites, and
+#: a search makes many.
+MAX_SEARCH_RANK = 32
 #: Largest ``--max-rank`` that ``tabulate`` and ``graph`` will enumerate;
 #: the raw word count grows factorially with the rank.
 MAX_TABULATE_RANK = 6
@@ -50,7 +57,8 @@ MAX_TABULATE_RANK = 6
 #: move-invariance alone runs 921,482 instances at rank 5.
 MAX_VERIFY_RANK = 4
 #: Largest ``--max-rank`` of ``tabulate --oracle``, which runs one bounded
-#: search per word: with the default budget, rank 4 runs for minutes.
+#: search per word: ``ORACLE_BUDGET`` was checked to merge the same words as
+#: the default budget up to rank 3 only.
 MAX_ORACLE_RANK = 3
 #: Largest ``verify --sample``; ranks 4-5 hold only 3,246 shift classes.
 MAX_VERIFY_SAMPLE = 1000
@@ -63,9 +71,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budget(text: str | None) -> SearchBudget:
-    if text:
-        return SearchBudget.parse(text)
-    return SearchBudget.from_env()
+    return SearchBudget.parse(text) if text else DEFAULT_BUDGET
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,7 +223,9 @@ def _cmd_alphan(args) -> None:
 
 
 def _cmd_reduce(args) -> None:
-    reduced, trace = reduce_bounded(parse(args.word), _budget(args.budget))
+    word = parse(args.word)
+    _check_size("word rank", word.rank, MAX_SEARCH_RANK)
+    reduced, trace = reduce_bounded(word, _budget(args.budget))
     print(reduced.text())
     _print_trace(trace)
 
@@ -225,7 +233,7 @@ def _cmd_reduce(args) -> None:
 def _cmd_equiv(args) -> None:
     words = parse(args.first), parse(args.second)
     for word in words:
-        _check_size("word rank", word.rank, MAX_MATRIX_RANK)
+        _check_size("word rank", word.rank, MAX_SEARCH_RANK)
     result = equivalent_bounded(*words, _budget(args.budget))
     print(result.verdict)
     if result.trace is not None:
@@ -243,9 +251,7 @@ def _cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     failed = 0
     for name in names:
-        report = run_suite(
-            name, max_rank=args.max_rank, seed=args.seed, sample=args.sample
-        )
+        report = run_suite(name, args.max_rank, args.seed, args.sample)
         print(report.summary())
         for line in report.failures:
             print(f"  FAIL {line}")
@@ -255,10 +261,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_tabulate(args) -> None:
     _check_rank(args.max_rank, MAX_ORACLE_RANK if args.oracle else MAX_TABULATE_RANK)
-    oracle = SearchBudget.from_env() if args.oracle else None
     count = 0
     with open(args.out, "w") as fh:
-        for count, record in enumerate(tabulation_records(args.max_rank, oracle=oracle), 1):
+        for count, record in enumerate(tabulation_records(args.max_rank, oracle=args.oracle), 1):
             fh.write(record_to_json(record) + "\n")
     print(f"wrote {count} records to {args.out}")
 

@@ -289,18 +289,20 @@ def head_tail_matrices(alpha: Nanoword) -> HeadTailMatrices:
     return HeadTailMatrices(alpha.letters, *_tail_head(alpha))
 
 
-def th_realizable(
-    tail: np.ndarray, head: np.ndarray, *, cap: int = 5
-) -> Nanoword | None:
+#: Largest rank ``th_realizable`` searches: it tries every word of that rank.
+TH_REALIZABLE_CAP = 5
+
+
+def th_realizable(tail: np.ndarray, head: np.ndarray) -> Nanoword | None:
     """A nanoword whose tail/head matrices equal the given pair, or None.
 
     Any letter-order permutation is allowed.  Exhaustive search over Gauss
     words of the matching rank, all type assignments and all orderings;
-    ``cap`` bounds the rank accepted (the search is factorial).
+    ``TH_REALIZABLE_CAP`` bounds the rank accepted (the search is factorial).
     """
     k = len(tail) if np.ndim(tail) else 0
-    if k > cap:
-        raise ValueError(f"rank {k} exceeds brute-force cap {cap}")
+    if k > TH_REALIZABLE_CAP:
+        raise ValueError(f"rank {k} exceeds brute-force cap {TH_REALIZABLE_CAP}")
     names = fresh_names((), k)
     given = HeadTailMatrices(tuple(names), tail, head)
     if k == 0:
@@ -420,7 +422,7 @@ class BasedMatrix:
     def to_json(self) -> dict:
         return {
             "order": list(self.elements),
-            "rows": [[int(v) for v in row] for row in self.pairing],
+            "rows": self.pairing.tolist(),
         }
 
     def __eq__(self, other: object) -> bool:

@@ -30,7 +30,6 @@ trace) or "unknown", never a proof of inequivalence by itself.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
@@ -83,16 +82,11 @@ class SearchBudget:
 
     @classmethod
     def parse(cls, text: str) -> "SearchBudget":
-        """Parse "increase,states,depth" (used by the VSTRING_BUDGET variable)."""
+        """Parse "increase,states,depth", the form of the ``--budget`` option."""
         parts = [int(p) for p in text.split(",")]
         if len(parts) != 3:
             raise ValueError(f"expected 3 comma-separated integers, got {text!r}")
         return cls(*parts)
-
-    @classmethod
-    def from_env(cls) -> "SearchBudget":
-        value = os.environ.get("VSTRING_BUDGET")
-        return cls.parse(value) if value else cls()
 
 
 DEFAULT_BUDGET = SearchBudget()

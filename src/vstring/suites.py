@@ -1,10 +1,11 @@
 """Named property suites verifying the structural theorems at desk scale.
 
 Each suite runs a theorem or invariance statement over a reproducible word
-population: every shift-canonical word of rank <= 3 (all type assignments)
-plus a fixed-seed random sample at ranks 4-5.  Suites report instance counts
-and the first few failures; they are used both by the command-line ``verify``
-subcommand and by the acceptance tests.
+population: every shift-canonical word of rank <= ``max_rank`` (all type
+assignments) plus ``sample`` random words at ranks 4-5 drawn with ``seed``.
+Suites report instance counts and the first few failures; they are used both
+by the command-line ``verify`` subcommand and by the acceptance tests.  The
+three settings have no defaults here: ``verify`` states them once.
 
 A population is built once per ``(max_rank, seed, sample)`` and shared, as a
 tuple, by every suite that asks for it.  A check takes its failure label as a
@@ -50,8 +51,6 @@ __all__ = ["SuiteReport", "SUITES", "run_suite", "population"]
 #: Cap on letter-adding sites per kind for the rank 4-5 sample in the
 #: move-invariance suite (the rank <= 3 population is enumerated in full).
 _ADD_SITE_CAP = 6
-_SAMPLE_COUNT = 200
-_DEFAULT_SEED = 7
 
 
 @dataclass
@@ -101,7 +100,7 @@ def _applicable_sites(word: Nanoword, cap_adds: int | None):
             yield site
 
 
-def suite_move_invariance(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int = _SAMPLE_COUNT) -> SuiteReport:
+def suite_move_invariance(max_rank: int, seed: int, sample: int) -> SuiteReport:
     """u, rho and the primitive based matrix are stable under every move."""
     report = SuiteReport("move-invariance")
     for word in population(max_rank, seed, sample):
@@ -118,7 +117,7 @@ def suite_move_invariance(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: 
     return report
 
 
-def suite_structural(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int = _SAMPLE_COUNT) -> SuiteReport:
+def suite_structural(max_rank: int, seed: int, sample: int) -> SuiteReport:
     """Weight sums, skew-symmetry, borders, realizability, u-additivity, deletions."""
     report = SuiteReport("structural")
     words = population(max_rank, seed, sample)
@@ -155,7 +154,7 @@ def suite_structural(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int =
     return report
 
 
-def suite_u_cable(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int = _SAMPLE_COUNT) -> SuiteReport:
+def suite_u_cable(max_rank: int, seed: int, sample: int) -> SuiteReport:
     """u(cable(w, n)) = n^2 u_w(t^n) for n in {2, 3}."""
     report = SuiteReport("u-cable")
     for word in population(max_rank, seed, sample):
@@ -168,7 +167,7 @@ def suite_u_cable(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int = _S
     return report
 
 
-def suite_cover_cable_commute(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int = _SAMPLE_COUNT) -> SuiteReport:
+def suite_cover_cable_commute(max_rank: int, seed: int, sample: int) -> SuiteReport:
     """cover_r(cable_n(w)) is isomorphic to cable_n(cover_k(w)), k = r/gcd(n, r)."""
     report = SuiteReport("cover-cable-commute")
     for word in population(max_rank, seed, sample):
@@ -188,7 +187,7 @@ def suite_cover_cable_commute(max_rank: int = 3, seed: int = _DEFAULT_SEED, samp
     return report
 
 
-def suite_composite_bm(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int = _SAMPLE_COUNT) -> SuiteReport:
+def suite_composite_bm(max_rank: int, seed: int, sample: int) -> SuiteReport:
     """The block formula agrees entrywise with the composite's based matrix."""
     report = SuiteReport("composite-bm")
     words = [w for w in population(max_rank, seed, 0) if w.rank <= 4]
@@ -210,7 +209,7 @@ def suite_composite_bm(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int
     return report
 
 
-def suite_rho_bounds(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int = _SAMPLE_COUNT) -> SuiteReport:
+def suite_rho_bounds(max_rank: int, seed: int, sample: int) -> SuiteReport:
     """Cable and composition bounds on rho."""
     report = SuiteReport("rho-bounds")
     words = population(max_rank, seed, sample)
@@ -239,7 +238,7 @@ def suite_rho_bounds(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int =
     return report
 
 
-def suite_reduction_confluence(max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int = _SAMPLE_COUNT) -> SuiteReport:
+def suite_reduction_confluence(max_rank: int, seed: int, sample: int) -> SuiteReport:
     """Random removal orders all reach isomorphic primitive based matrices."""
     report = SuiteReport("reduction-confluence")
     rng = random.Random(seed + 2)
@@ -266,7 +265,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, *, max_rank: int = 3, seed: int = _DEFAULT_SEED, sample: int = _SAMPLE_COUNT) -> SuiteReport:
+def run_suite(name: str, max_rank: int, seed: int, sample: int) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     return SUITES[name](max_rank=max_rank, seed=seed, sample=sample)

@@ -144,11 +144,10 @@ class TestSearchCommands:
         assert out.splitlines()[0] == "distinct"
         assert "rho" in out
 
-    def test_equiv_unknown_exit_zero(self, capsys, monkeypatch):
+    def test_equiv_unknown_exit_zero(self, capsys):
         # A trivial word of the weight-zero family: every invariant agrees
         # with the empty word, and the tiny budget cannot connect them.
-        monkeypatch.setenv("VSTRING_BUDGET", "0,2,1")
-        code, out, _ = run(capsys, "equiv", "ABCADCEDFEBF|abaaaa", "0")
+        code, out, _ = run(capsys, "equiv", "ABCADCEDFEBF|abaaaa", "0", "--budget", "0,2,1")
         assert code == 0
         assert out.splitlines()[0] == "unknown"
 
@@ -165,7 +164,6 @@ class TestSearchCommands:
     ):
         # The nine queries of the search-trivial benchmark workload.
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-        monkeypatch.delenv("VSTRING_BUDGET", raising=False)
         from workloads import search_queries
 
         codes = [main(args) for _, args, _ in search_queries(seed)]
@@ -205,7 +203,7 @@ class TestVerify:
 
         fresh = itertools.count()
         monkeypatch.setattr(suites, "rho", lambda word: next(fresh))
-        report = suites.suite_move_invariance(max_rank=1, sample=0)
+        report = suites.suite_move_invariance(max_rank=1, seed=7, sample=0)
         word = suites.population(1, 7, 0)[0]
         site = next(suites._applicable_sites(word, None))
         assert report.passed == 0 and len(report.failures) == 20
@@ -215,7 +213,7 @@ class TestVerify:
         import vstring.suites as suites
 
         monkeypatch.setattr(suites, "isomorphic", lambda a, b: False)
-        report = suites.suite_cover_cable_commute(max_rank=1, sample=0)
+        report = suites.suite_cover_cable_commute(max_rank=1, seed=7, sample=0)
         word = suites.population(1, 7, 0)[0]
         assert report.failures[0] == f"{word.text()} n=2 r=2"
         assert report.failures[4] == f"{word.text()} n=3 r=0"
@@ -254,8 +252,7 @@ class TestTabulate:
             word = parse(json.loads(line)["canonical"])
             assert record_to_json(record_for(word)) == line
 
-    def test_oracle_merges_trivial_words(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("VSTRING_BUDGET", "2,5000,16")
+    def test_oracle_merges_trivial_words(self, tmp_path, capsys):
         out = tmp_path / "o.jsonl"
         run(capsys, "tabulate", "--max-rank", "2", "--out", str(out), "--oracle")
         plain = list(tabulation_records(2))
@@ -307,6 +304,8 @@ class TestSizeGuards:
             (("tabulate", "--max-rank", "4", "--out", "t.jsonl", "--oracle"), "tabulation_records"),
             (("compute", gen_alpha_n(1001).text()), "invariant_bundle"),
             (("equiv", gen_alpha_n(1001).text(), "0"), "equivalent_bounded"),
+            (("reduce", gen_alpha_n(33).text()), "reduce_bounded"),
+            (("equiv", gen_alpha_n(33).text(), "0"), "equivalent_bounded"),
         ],
     )
     def test_rejected_before_building(
@@ -352,33 +351,24 @@ class TestSizeGuards:
         code, out, _ = run(capsys, "preimage", gen_gamma_pq(1, 3333).text(), "-r", "2")
         assert code == 0
         assert parse(out.strip()).rank == cli.MAX_WORD_RANK
+        word = gen_alpha_n(cli.MAX_SEARCH_RANK).text()
+        assert run(capsys, "reduce", word, "--budget", "0,1,1")[0] == 0
 
     @pytest.mark.parametrize(
-        "argv,budget,message",
+        "argv,message",
         [
             (
                 ("graph", "--max-rank", "2", "-r", "-1", "--dot", "out"),
-                None,
                 "covering index must be >= 0, got -1",
             ),
-            (
-                ("tabulate", "--max-rank", "2", "--out", "out", "--oracle"),
-                "1,2",
-                "expected 3 comma-separated integers",
-            ),
-            (
-                ("preimage", "ABAB|aa", "-r", "-3"),
-                None,
-                "covering index must be >= 0, got -3",
-            ),
+            (("reduce", "AA|a", "--budget", "1,2"), "expected 3 comma-separated integers"),
+            (("preimage", "ABAB|aa", "-r", "-3"), "covering index must be >= 0, got -3"),
         ],
-        ids=["graph-negative-r", "tabulate-bad-budget", "preimage-negative-r"],
+        ids=["graph-negative-r", "reduce-bad-budget", "preimage-negative-r"],
     )
     def test_bad_arguments_keep_existing_output(
-        self, capsys, monkeypatch, tmp_path, argv, budget, message
+        self, capsys, monkeypatch, tmp_path, argv, message
     ):
-        if budget is not None:
-            monkeypatch.setenv("VSTRING_BUDGET", budget)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "out").write_text("keep")
         code, out, err = run(capsys, *argv)
@@ -401,3 +391,15 @@ class TestSizeGuards:
         assert code == 1
         assert "is negative" in err
         assert out == "" and not any(tmp_path.iterdir())
+
+
+def test_output_ignores_environment(capsys, monkeypatch, tmp_path):
+    # Read as a search budget, this value would make the equivalence unknown.
+    plain, with_env = tmp_path / "plain.jsonl", tmp_path / "env.jsonl"
+    run(capsys, "tabulate", "--max-rank", "2", "--oracle", "--out", str(plain))
+    monkeypatch.setenv("VSTRING_BUDGET", "0,2,1")
+    code, out, _ = run(capsys, "equiv", "ABCADCEDFEBF|abaaaa", "0")
+    assert code == 0
+    assert out.splitlines()[0] == "homotopic"
+    run(capsys, "tabulate", "--max-rank", "2", "--oracle", "--out", str(with_env))
+    assert with_env.read_bytes() == plain.read_bytes()

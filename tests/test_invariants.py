@@ -228,7 +228,7 @@ class TestTHRealizable:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            th_realizable(np.zeros((6, 6)), np.zeros((6, 6)), cap=5)
+            th_realizable(np.zeros((6, 6)), np.zeros((6, 6)))
 
     @pytest.mark.parametrize(
         "tail,head",

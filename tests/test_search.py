@@ -80,12 +80,6 @@ class TestSearchBudget:
         with pytest.raises(ValueError):
             SearchBudget(-1, 0, 0)
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("VSTRING_BUDGET", "3,99,7")
-        assert SearchBudget.from_env() == SearchBudget(3, 99, 7)
-        monkeypatch.delenv("VSTRING_BUDGET")
-        assert SearchBudget.from_env() == SearchBudget()
-
 
 class TestReduceBounded:
     @pytest.mark.parametrize(
