@@ -51,10 +51,8 @@ from .invariants import (
     u_realizable,
 )
 from .ops import (
-    CoverStats,
     cable,
     compose,
-    cover_stats,
     covering,
     gen_alpha_n,
     gen_gamma_pq,
@@ -62,9 +60,11 @@ from .ops import (
     uncover_preimage,
 )
 from .search import (
+    CoverStats,
     CoveringGraph,
     EquivalenceResult,
     SearchBudget,
+    cover_stats,
     covering_graph,
     equivalent_bounded,
     reduce_bounded,

@@ -271,12 +271,14 @@ def _rotation(alpha: Nanoword, k: int) -> tuple[tuple[str, ...], dict[str, str]]
     """Word and types of ``shift^k(alpha)``, for 0 <= k <= len(word).
 
     Rotation k is ``word[k:] + word[:k]``.  A letter carried past the base
-    point changes type: each letter of ``word[:k]`` whose second occurrence
-    is at or after k is flipped.
+    point changes type: each letter with one occurrence before k and one at
+    or after it is flipped.  Each such letter occurs once on either side of
+    k, so the walk takes the shorter side.
     """
     types = dict(alpha._tmap)
-    for name in alpha.word[:k]:
-        if alpha._occ[name][1] >= k:
+    for name in alpha.word[k:] if 2 * k > len(alpha.word) else alpha.word[:k]:
+        first, second = alpha._occ[name]
+        if first < k <= second:
             types[name] = _other(types[name])
     return alpha.word[k:] + alpha.word[:k], types
 

@@ -675,6 +675,10 @@ def distinguish(alpha: Nanoword, beta: Nanoword, depth: int = 2) -> DistinguishR
                 )
             )
     if not evidence and depth > 0:
+        # The one import up the layer order (ops imports invariants), so it
+        # is made here, at call time.  distinguish stays in this module:
+        # perfbench names a span after the defining module
+        # ("invariants.distinguish") and times ops.covering as a layer.
         from .ops import coverings
 
         # Past its own rank a word's r-covering is its 0-covering.  A pair

@@ -21,13 +21,11 @@
   nested fresh letters so that the r-covering of the result is the input.
 
 Generators for the two standard families used throughout the test suites
-(``gen_gamma_pq``, ``gen_alpha_n``) and covering-derived numeric bounds
-(``cover_stats``) round out the module.
+(``gen_gamma_pq``, ``gen_alpha_n``) round out the module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
@@ -48,8 +46,6 @@ __all__ = [
     "gen_gamma_pq",
     "gen_alpha_n",
     "uncover_preimage",
-    "CoverStats",
-    "cover_stats",
 ]
 
 
@@ -267,54 +263,3 @@ def uncover_preimage(alpha: Nanoword, r: int) -> Nanoword:
         out.extend(reversed(pad))
     return Nanoword(tuple(out), tmap, _trusted=True)
 
-
-@dataclass(frozen=True)
-class CoverStats:
-    """Word-level covering bounds for one word.
-
-    ``m_upper`` bounds the least m with cover_n = cover_0 for all n >= m;
-    ``height_upper`` bounds the number of r-covering iterations until the
-    sequence stabilises; ``base_word`` is the stabilised word (search-reduced
-    when a budget is supplied); ``fixed`` says whether the r-covering returns
-    the word verbatim.  True heights/bases of virtual strings are only
-    semi-decidable, so these are bounds, not exact values.
-    """
-
-    m_upper: int
-    height_upper: int
-    base_word: Nanoword
-    fixed: bool
-
-
-def cover_stats(alpha: Nanoword, r: int, budget=None) -> CoverStats:
-    """Covering-derived numeric bounds; pass a SearchBudget to refine them."""
-    # Past the largest r whose covering differs from the 0-covering, every
-    # covering is the 0-covering; the 1-covering (the word) always differs.
-    table = coverings(alpha)
-    differs = [k for k, cover in table.items() if cover != table[0]]
-    m_upper = 0 if table[0] is alpha else 1 + max(differs, default=1)
-
-    chain = [alpha]
-    while True:
-        nxt = covering(chain[-1], r)
-        if nxt == chain[-1]:
-            break
-        chain.append(nxt)
-    height = len(chain) - 1
-    base = chain[-1]
-
-    if budget is not None:
-        from .search import equivalent_bounded, reduce_bounded
-
-        for i in range(height):
-            if equivalent_bounded(chain[i], chain[i + 1], budget).verdict == "homotopic":
-                height = i
-                break
-        base, _ = reduce_bounded(base, budget)
-
-    return CoverStats(
-        m_upper=m_upper,
-        height_upper=height,
-        base_word=base,
-        fixed=len(chain) == 1,
-    )

@@ -2,9 +2,11 @@
 
 States are shift-orbit canonical forms, which quotients out the base-point
 symmetry; transitions apply one H-move to any shift of the state.  Rank-
-preserving and rank-decreasing moves are always available; letter-adding
-directions are allowed while the rank stays within ``max_rank_increase`` of
-the start.  Every result carries a replayable move trace, so a "homotopic"
+preserving and rank-decreasing moves are always available.  The rank cap is
+the start's rank plus ``max_rank_increase``, and a letter-adding move is
+tried only from a state below the cap; an H2 insertion adds two letters, so
+a state may reach cap + 1, and the rank-preserving moves spread at that
+rank.  Every result carries a replayable move trace, so a "homotopic"
 answer is a checkable certificate, and "distinct" answers delegate to the
 invariant comparison, so the two can never both hold.
 
@@ -25,6 +27,10 @@ and H3-family sites whose last pair is (n-2, n-1).
 Homotopy of virtual strings is only semi-decidable with these tools: search
 yields upper-bound witnesses (a low-rank representative, an equivalence
 trace) or "unknown", never a proof of inequivalence by itself.
+
+The module also holds every result that a search refines: the covering
+statistics of a word (``cover_stats``: the height, base and fixedness of
+its r-covering chain) and the covering-map graph (``covering_graph``).
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from .core import (
     shifts_to_canonical,
 )
 from .invariants import DistinguishReport, distinguish
-from .ops import covering
+from .ops import covering, coverings
 
 __all__ = [
     "SearchBudget",
@@ -60,6 +66,8 @@ __all__ = [
     "EquivalenceResult",
     "reduce_bounded",
     "equivalent_bounded",
+    "CoverStats",
+    "cover_stats",
     "CoveringGraph",
     "covering_graph",
 ]
@@ -70,7 +78,12 @@ ALL_MOVES: tuple[MoveKind, ...] = RANK_DECREASING + RANK_PRESERVING + RANK_INCRE
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps for the bounded searches; exhausting them is not an error."""
+    """Caps for the bounded searches; exhausting them is not an error.
+
+    A letter-adding move is tried only from a state whose rank is below the
+    start's rank plus ``max_rank_increase``, so a state may reach one more
+    than that (an H2 insertion adds two letters).
+    """
 
     max_rank_increase: int = 2
     max_states: int = 200_000
@@ -113,12 +126,14 @@ class _Frontier:
         self.nodes: dict[str, _Node] = {key: _Node(start, None, ())}
         self.heap: list[tuple[int, int, int, str]] = [(start.rank, 0, 0, key)]
 
-    def exhausted(self, shared_states: int) -> bool:
-        """No state left to expand, or no room left for a new one."""
-        return not self.heap or len(self.nodes) + shared_states >= self.budget.max_states
+    def expand_one(self, shared_states: int) -> list[str] | None:
+        """Pop one state and insert its successors; returns the new keys.
 
-    def expand_one(self, shared_states: int) -> list[str]:
-        """Pop one state and insert its successors; returns the new keys."""
+        Returns None, and pops nothing, when no state is left to expand or
+        no room is left for a new one.
+        """
+        if not self.heap or len(self.nodes) + shared_states >= self.budget.max_states:
+            return None
         _, depth, _, key = heapq.heappop(self.heap)
         if depth >= self.budget.max_depth:
             return []
@@ -149,15 +164,13 @@ class _Frontier:
                         yield prefix + (site,), apply_move(rotated, site)
 
     def trace_steps(self, key: str) -> list[MoveSite]:
-        chain: list[tuple[MoveSite, ...]] = []
+        """The sites from the start word to the word of state ``key``."""
+        steps: list[MoveSite] = []
         k: str | None = key
         while k is not None:
             node = self.nodes[k]
-            chain.append(node.steps)
+            steps[:0] = node.steps
             k = node.parent
-        steps: list[MoveSite] = []
-        for part in reversed(chain):
-            steps.extend(part)
         return steps
 
 
@@ -170,8 +183,7 @@ def reduce_bounded(
     exhausting the budget returns the best word found so far.
     """
     frontier = _Frontier(alpha, budget)
-    while not frontier.exhausted(0):
-        frontier.expand_one(0)
+    while frontier.expand_one(0) is not None:
         if EMPTY.text() in frontier.nodes:  # the one rank-0 state
             break
     nodes = frontier.nodes
@@ -215,18 +227,12 @@ def _join_traces(
     # The inverted second-side steps replay on the first side's word, which
     # is only isomorphic to the second side's; drop recorded letter names so
     # letter-adding steps pick fresh ones instead of clashing.
-    back = [_anonymize(site) for site in invert_steps(beta, full_b)]
+    back = [replace(site, letters=()) for site in invert_steps(beta, full_b)]
     trace = MoveTrace(alpha, tuple(_cancel_shift_pairs(full_a + back)))
     end = trace.end()
     if not isomorphic(end, beta):
         raise AssertionError("search produced an invalid equivalence trace")
     return trace
-
-
-def _anonymize(site: MoveSite) -> MoveSite:
-    if site.letters:
-        return replace(site, letters=())
-    return site
 
 
 def _cancel_shift_pairs(steps: list[MoveSite]) -> list[MoveSite]:
@@ -262,11 +268,10 @@ def equivalent_bounded(
     while not common:
         progressed = False
         for mine, other in ((fa, fb), (fb, fa)):
-            if mine.exhausted(len(other.nodes)):
-                continue
-            progressed = True
+            new_keys = mine.expand_one(len(other.nodes))
+            progressed |= new_keys is not None
             # No state was shared before this expansion, so a shared one is new.
-            common = [k for k in mine.expand_one(len(other.nodes)) if k in other.nodes]
+            common = [k for k in new_keys or () if k in other.nodes]
             if common:
                 break
         if not progressed:
@@ -282,6 +287,60 @@ def equivalent_bounded(
         fb.nodes[key].word,
     )
     return EquivalenceResult("homotopic", trace=trace)
+
+
+# ---------------------------------------------------------------------------
+# Covering statistics
+
+
+@dataclass(frozen=True)
+class CoverStats:
+    """Word-level covering bounds for one word.
+
+    ``m_upper`` bounds the least m with cover_n = cover_0 for all n >= m;
+    ``height_upper`` bounds the number of r-covering iterations until the
+    sequence stabilises; ``base_word`` is the stabilised word (search-reduced
+    when a budget is supplied); ``fixed`` says whether the r-covering returns
+    the word verbatim.  True heights/bases of virtual strings are only
+    semi-decidable, so these are bounds, not exact values.
+    """
+
+    m_upper: int
+    height_upper: int
+    base_word: Nanoword
+    fixed: bool
+
+
+def cover_stats(alpha: Nanoword, r: int, budget: SearchBudget | None = None) -> CoverStats:
+    """Covering-derived numeric bounds; pass a SearchBudget to refine them."""
+    # Past the largest r whose covering differs from the 0-covering, every
+    # covering is the 0-covering; the 1-covering (the word) always differs.
+    table = coverings(alpha)
+    differs = [k for k, cover in table.items() if cover != table[0]]
+    m_upper = 0 if table[0] is alpha else 1 + max(differs, default=1)
+
+    chain = [alpha]
+    while True:
+        nxt = covering(chain[-1], r)
+        if nxt == chain[-1]:
+            break
+        chain.append(nxt)
+    height = len(chain) - 1
+    base = chain[-1]
+
+    if budget is not None:
+        for i in range(height):
+            if equivalent_bounded(chain[i], chain[i + 1], budget).verdict == "homotopic":
+                height = i
+                break
+        base, _ = reduce_bounded(base, budget)
+
+    return CoverStats(
+        m_upper=m_upper,
+        height_upper=height,
+        base_word=base,
+        fixed=len(chain) == 1,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,18 @@ from vstring.invariants import (
 from vstring.ops import (
     cable,
     compose,
-    cover_stats,
     covering,
     gen_alpha_n,
     gen_gamma_pq,
     r_dot,
 )
-from vstring.search import SearchBudget, covering_graph, equivalent_bounded, reduce_bounded
+from vstring.search import (
+    SearchBudget,
+    cover_stats,
+    covering_graph,
+    equivalent_bounded,
+    reduce_bounded,
+)
 from vstring.suites import SUITES
 
 

@@ -16,7 +16,6 @@ from vstring.invariants import n_values, rho, u_polynomial
 from vstring.ops import (
     cable,
     compose,
-    cover_stats,
     covering,
     coverings,
     gen_alpha_n,
@@ -24,7 +23,7 @@ from vstring.ops import (
     r_dot,
     uncover_preimage,
 )
-from vstring.search import SearchBudget
+from vstring.search import SearchBudget, cover_stats
 from vstring.suites import population
 
 from test_core import nanowords

@@ -10,6 +10,7 @@ from vstring.core import (
     find_sites,
     parse,
     shift,
+    shift_canonical,
     shift_orbit,
 )
 from vstring.enumeration import (
@@ -61,8 +62,6 @@ class TestEnumeration:
         pop = canonical_population(2)
         texts = [w.text() for w in pop]
         assert texts == sorted(texts)
-        from vstring.core import shift_canonical
-
         assert all(shift_canonical(w).text() == w.text() for w in pop)
 
     def test_sample_deterministic(self):
@@ -79,6 +78,16 @@ class TestSearchBudget:
             SearchBudget.parse("1,2")
         with pytest.raises(ValueError):
             SearchBudget(-1, 0, 0)
+
+    def test_rank_cap_admits_one_more(self):
+        # A letter-adding move is tried from every state below the cap, so an
+        # H2 insertion from rank cap - 1 stores a state of rank cap + 1.
+        frontier = _Frontier(parse("ABAB|ab"), SearchBudget(1, 2000, 32))
+        while frontier.expand_one(0) is not None:
+            pass
+        ranks = [node.word.rank for node in frontier.nodes.values()]
+        assert frontier.rank_cap == 3
+        assert max(ranks) == frontier.rank_cap + 1
 
 
 class TestReduceBounded:
@@ -266,9 +275,6 @@ class TestCoveringGraph:
     def test_fixed_point_self_loop(self):
         g22 = gen_gamma_pq(2, 2)
         g = covering_graph([g22], 2)
-        key = canonical_relabel(g22).text()
-        from vstring.core import shift_canonical
-
         key = shift_canonical(g22).text()
         assert g.edges[key] == key
 
