@@ -5,10 +5,13 @@ and tail matrices, the based matrix and its reduction to a primitive based
 matrix, the element-count invariant rho, based-matrix isomorphism, and the
 block formulas for based matrices of composites and cables.
 
-All of them read one table of each letter's two positions and its arrow,
-which runs from the first occurrence to the second for type a and back for
-type b.  n(X) is the arrow tails minus the arrow heads strictly between the
-two occurrences of X, negated for type b.
+All of them but ``linking_number`` read one table of each letter's two
+positions and its arrow, which runs from the first occurrence to the second
+for type a and back for type b.  n(X) is the arrow tails minus the arrow
+heads strictly between the two occurrences of X, negated for type b.
+``linking_number`` reads the occurrence pattern of its two letters instead,
+on purpose: it is the independent reference whose sums the tests compare
+with ``n_values``.
 
 The based matrix of a word is a triple ``(G, s, b)``: a finite element set G
 with a special element s and a skew-symmetric integer pairing b.  For a word,

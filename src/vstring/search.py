@@ -120,6 +120,7 @@ class _Frontier:
     """
 
     def __init__(self, start: Nanoword, budget: SearchBudget):
+        self.start = start
         self.budget = budget
         self.rank_cap = start.rank + budget.max_rank_increase
         key = shift_canonical_text(start)
@@ -206,45 +207,27 @@ class EquivalenceResult:
     report: DistinguishReport | None = None
 
 
-def _join_traces(
-    alpha: Nanoword,
-    steps_a: list[MoveSite],
-    beta: Nanoword,
-    steps_b: list[MoveSite],
-    word_a: Nanoword,
-    word_b: Nanoword,
-) -> MoveTrace:
-    """Trace alpha -> beta through a common state reached by both sides.
+def _join_traces(fa: _Frontier, fb: _Frontier, key: str) -> MoveTrace:
+    """Trace ``fa.start`` -> ``fb.start`` through the state ``key`` both sides hold.
 
-    ``word_a``/``word_b`` are the concrete words both sides reached; they
-    share a shift-orbit canonical form.  Aligning each by forward shifts to
-    the canonical position makes them positionally identical up to renaming,
-    so the inverted second path replays verbatim on the first side's word.
+    With ``ka``/``kb`` the forward shifts that take each side's word at ``key``
+    to the canonical position, the two words shifted there are identical up
+    to renaming.  So the trace is the first path, then the net shift: ``ka -
+    kb`` shifts, or ``kb - ka`` inverse shifts when ``kb > ka``; then the
+    inverted second path, which replays verbatim on the first side's word.
     """
-    shift_site = MoveSite(MoveKind.SHIFT)
-    full_a = steps_a + [shift_site] * shifts_to_canonical(word_a)
-    full_b = steps_b + [shift_site] * shifts_to_canonical(word_b)
+    ka = shifts_to_canonical(fa.nodes[key].word)
+    kb = shifts_to_canonical(fb.nodes[key].word)
+    net = [MoveSite(MoveKind.SHIFT if ka > kb else MoveKind.SHIFT_INV)] * abs(ka - kb)
     # The inverted second-side steps replay on the first side's word, which
     # is only isomorphic to the second side's; drop recorded letter names so
     # letter-adding steps pick fresh ones instead of clashing.
-    back = [replace(site, letters=()) for site in invert_steps(beta, full_b)]
-    trace = MoveTrace(alpha, tuple(_cancel_shift_pairs(full_a + back)))
-    end = trace.end()
-    if not isomorphic(end, beta):
+    back = invert_steps(fb.start, fb.trace_steps(key))
+    steps = fa.trace_steps(key) + net + [replace(site, letters=()) for site in back]
+    trace = MoveTrace(fa.start, tuple(steps))
+    if not isomorphic(trace.end(), fb.start):
         raise AssertionError("search produced an invalid equivalence trace")
     return trace
-
-
-def _cancel_shift_pairs(steps: list[MoveSite]) -> list[MoveSite]:
-    """Drop adjacent shift/shift-inv pairs (a replay no-op) from a step list."""
-    out: list[MoveSite] = []
-    inverse = {MoveKind.SHIFT: MoveKind.SHIFT_INV, MoveKind.SHIFT_INV: MoveKind.SHIFT}
-    for site in steps:
-        if out and site.kind in inverse and out[-1].kind is inverse[site.kind]:
-            out.pop()
-        else:
-            out.append(site)
-    return out
 
 
 def equivalent_bounded(
@@ -276,16 +259,7 @@ def equivalent_bounded(
                 break
         if not progressed:
             return EquivalenceResult("unknown", report=report)
-    key = min(common)
-
-    trace = _join_traces(
-        alpha,
-        fa.trace_steps(key),
-        beta,
-        fb.trace_steps(key),
-        fa.nodes[key].word,
-        fb.nodes[key].word,
-    )
+    trace = _join_traces(fa, fb, min(common))
     return EquivalenceResult("homotopic", trace=trace)
 
 

@@ -44,6 +44,8 @@ from vstring.enumeration import (
 )
 from vstring.ops import cable, r_dot
 
+from test_core import _NAMES, named_nanowords
+
 
 def _ref_canonical_name(i: int) -> str:
     if i < 26:
@@ -213,18 +215,6 @@ def half_turn_word(rank: int, seed: int, swap: int) -> Nanoword:
     return Nanoword(slots, {name: "a" for name in slots})
 
 
-_NAMES = [chr(65 + i) for i in range(26)] + ["X.1", "A.2", "B.1", "Q_3", "C.10", "Z.0"]
-
-
-@st.composite
-def named_nanowords(draw, max_rank=7):
-    rank = draw(st.integers(0, max_rank))
-    names = draw(st.lists(st.sampled_from(_NAMES), min_size=rank, max_size=rank, unique=True))
-    seq = draw(st.permutations([i // 2 for i in range(2 * rank)]))
-    types = {name: draw(st.sampled_from("ab")) for name in names}
-    return Nanoword((names[i] for i in seq), types)
-
-
 def assert_rotations_match_reference(w: Nanoword) -> None:
     assert shift(w) == ref_shift(w)
     assert shift_inv(w) == ref_shift_inv(w)
@@ -242,7 +232,7 @@ def test_rotations_on_rank_4_population():
         assert_rotations_match_reference(w)
 
 
-@given(named_nanowords())
+@given(named_nanowords(max_rank=7))
 @settings(max_examples=200, deadline=None)
 def test_extended_names(w):
     assert_matches_reference(w)

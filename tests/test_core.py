@@ -232,7 +232,7 @@ class TestApplyMove:
         assert apply_move(moved, back) == w
 
 
-_NAMES = [chr(65 + i) for i in range(26)] + ["X.1", "A.2", "B.1", "Q_3", "C.10"]
+_NAMES = [chr(65 + i) for i in range(26)] + ["X.1", "A.2", "B.1", "Q_3", "C.10", "Z.0"]
 
 
 @st.composite

@@ -10,7 +10,7 @@ states each family once, as one predicate shared by ``find_sites`` and
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from vstring.core import (
     TYPE_A,
@@ -25,7 +25,6 @@ from vstring.core import (
     _pair_positions,
     _pick_fresh,
     apply_move,
-    canonical_relabel,
     find_sites,
     parse,
     shift,
@@ -33,6 +32,8 @@ from vstring.core import (
     shift_orbit,
 )
 from vstring.enumeration import canonical_population
+
+from test_core import nanowords
 
 # Pair slots are numbered u1=0 v1=1 u2=2 v2=3 u3=4 v3=5; each entry gives the
 # equalities between slots and the slots holding the roles (A, B, C).
@@ -309,16 +310,7 @@ def test_rank_4_rotations_match_reference():
         check_sites_and_moves(alpha)
 
 
-@st.composite
-def nanowords(draw, min_rank=3, max_rank=7):
-    rank = draw(st.integers(min_rank, max_rank))
-    seq = draw(st.permutations([i // 2 for i in range(2 * rank)]))
-    names = [chr(65 + i) for i in range(rank)]
-    types = {name: draw(st.sampled_from("ab")) for name in names}
-    return canonical_relabel(Nanoword((names[i] for i in seq), types))
-
-
-@given(nanowords())
+@given(nanowords(min_rank=3, max_rank=7))
 @settings(max_examples=40, deadline=None)
 def test_hypothesis_words_match_reference(alpha):
     check_sites_and_moves(alpha)

@@ -1,17 +1,21 @@
+from dataclasses import replace
+from functools import partialmethod
+
 import pytest
 
 from vstring.core import (
     EMPTY,
-    RANK_INCREASING,
     MoveKind,
     MoveSite,
     apply_move,
     canonical_relabel,
     find_sites,
+    invert_steps,
     parse,
     shift,
     shift_canonical,
     shift_orbit,
+    shifts_to_canonical,
 )
 from vstring.enumeration import (
     all_nanowords,
@@ -22,12 +26,16 @@ from vstring.enumeration import (
 from vstring.invariants import primitive_based_matrix, rho, u_polynomial, bm_isomorphic
 from vstring.ops import gen_alpha_n, gen_gamma_pq
 from vstring.search import (
+    DEFAULT_BUDGET,
     SearchBudget,
     _Frontier,
+    _join_traces,
     covering_graph,
     equivalent_bounded,
     reduce_bounded,
 )
+
+from test_search_reference import ref_successors
 
 
 def record_states(monkeypatch):
@@ -202,6 +210,68 @@ class TestEquivalentBounded:
         assert rho(start) == rho(end)
 
 
+SHIFTS = {MoveKind.SHIFT, MoveKind.SHIFT_INV}
+
+
+def ref_join_steps(fa, fb, key):
+    """The join's steps as the search built them before the net-shift rule.
+
+    Both paths get the forward shifts to the canonical position, the second
+    is inverted together with its shifts, and adjacent shift/inverse-shift
+    pairs are then cancelled wherever they stand.
+    """
+    shift_site = MoveSite(MoveKind.SHIFT)
+    full_a = fa.trace_steps(key) + [shift_site] * shifts_to_canonical(fa.nodes[key].word)
+    full_b = fb.trace_steps(key) + [shift_site] * shifts_to_canonical(fb.nodes[key].word)
+    back = [replace(site, letters=()) for site in invert_steps(fb.start, full_b)]
+    out = []
+    for site in full_a + back:
+        if out and {out[-1].kind, site.kind} == SHIFTS:
+            out.pop()
+        else:
+            out.append(site)
+    return out
+
+
+class TestJoinTraces:
+    """``_join_traces`` writes the junction as one net shift, which gives the
+    same steps as the old rule of appending both sides' shifts and cancelling."""
+
+    def check_joins(self, monkeypatch, pairs, budget=DEFAULT_BUDGET):
+        nets = []
+
+        def checked(fa, fb, key):
+            trace = _join_traces(fa, fb, key)
+            steps = list(trace.steps)
+            assert steps == ref_join_steps(fa, fb, key), (fa.start.text(), fb.start.text())
+            for before, after in zip(steps, steps[1:]):
+                assert {before.kind, after.kind} != SHIFTS, (fa.start.text(), fb.start.text())
+            nets.append(
+                shifts_to_canonical(fa.nodes[key].word)
+                - shifts_to_canonical(fb.nodes[key].word)
+            )
+            return trace
+
+        monkeypatch.setattr("vstring.search._join_traces", checked)
+        for alpha, beta in pairs:
+            assert equivalent_bounded(alpha, beta, budget).verdict == "homotopic"
+        assert len(nets) == len(pairs)
+        return nets  # ka - kb of each join
+
+    def test_population_rank_3_against_shift_orbit(self, monkeypatch):
+        pairs = [(w, v) for w in canonical_population(3) for v in shift_orbit(w)]
+        # Each pair meets at once, at the state of the canonical first word,
+        # so each join is the second word's shifts to canonical, inverted.
+        assert min(self.check_joins(monkeypatch, pairs)) < 0
+
+    def test_population_rank_2_pairs(self, monkeypatch):
+        pop = canonical_population(2)
+        pairs = [(a, b) for a in pop for b in pop if a != b]
+        rotated = [(a, v) for a, b in pairs for v in (b, shift(b), shift(shift(b)))]
+        nets = self.check_joins(monkeypatch, rotated, SearchBudget(1, 2000, 32))
+        assert min(nets) < 0 < max(nets)
+
+
 #: The underived homotopy moves; shift moves are implicit in state expansion.
 UNDERIVED = (
     MoveKind.H1_DOWN,
@@ -212,28 +282,14 @@ UNDERIVED = (
 )
 
 
-def whole_orbit_successors(self, word):
-    """Every underived site of every rotation of ``word``, with its result.
-
-    Without the derived kinds a site that straddles the base point can flip
-    to a kind outside the move set, so every rotation must be walked.
-    """
-    shift_site = MoveSite(MoveKind.SHIFT)
-    for j, rotated in enumerate(shift_orbit(word)):
-        prefix = (shift_site,) * j
-        for kind in UNDERIVED:
-            if kind in RANK_INCREASING and word.rank + 1 > self.rank_cap:
-                continue
-            for site in find_sites(rotated, kind):
-                yield prefix + (site,), apply_move(rotated, site)
-
-
 class TestDerivedMoveSoundness:
     """The derived moves are consequences of shift/H1/H2/H3.
 
     For sampled sites of each derived kind, the two sides must be connected
     by the underived move set within a bounded search.  The search runs with
-    its successors replaced by the whole-orbit loop over the underived kinds.
+    its successors replaced by the whole-orbit loop over the underived kinds:
+    without the derived kinds a site that straddles the base point can flip
+    to a kind outside the move set, so every rotation must be walked.
     """
 
     BUDGET = SearchBudget(2, 60_000, 48)
@@ -241,7 +297,8 @@ class TestDerivedMoveSoundness:
 
     @pytest.fixture(autouse=True)
     def underived_search(self, monkeypatch):
-        monkeypatch.setattr(_Frontier, "_successors", whole_orbit_successors)
+        underived = partialmethod(ref_successors, kinds=UNDERIVED)
+        monkeypatch.setattr(_Frontier, "_successors", underived)
 
     def _check_kind(self, kind, words, limit):
         checked = 0

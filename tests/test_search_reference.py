@@ -10,13 +10,12 @@ rotation 0 already reaches, so that every state is first found by the same
 site as before and traces do not change.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from vstring.core import (
     RANK_INCREASING,
     MoveKind,
     MoveSite,
-    Nanoword,
     apply_move,
     find_sites,
     shift_canonical_text,
@@ -26,12 +25,14 @@ from vstring.enumeration import canonical_population
 from vstring.ops import cable
 from vstring.search import ALL_MOVES, SearchBudget, _Frontier
 
+from test_core import named_nanowords
 
-def ref_successors(frontier, word, rotations=None):
+
+def ref_successors(frontier, word, rotations=None, kinds=ALL_MOVES):
     shift_site = MoveSite(MoveKind.SHIFT)
     for j, rotated in enumerate(shift_orbit(word)[:rotations]):
         prefix = (shift_site,) * j
-        for kind in ALL_MOVES:
+        for kind in kinds:
             if kind in RANK_INCREASING and word.rank + 1 > frontier.rank_cap:
                 continue
             for site in find_sites(rotated, kind):
@@ -87,19 +88,7 @@ def test_rotation_1_keeps_only_straddling_sites():
     assert len(new) < len(ref)
 
 
-_NAMES = [chr(65 + i) for i in range(26)] + ["X.1", "A.2", "B.1", "Q_3", "C.10"]
-
-
-@st.composite
-def named_nanowords(draw, max_rank=7):
-    rank = draw(st.integers(0, max_rank))
-    names = draw(st.lists(st.sampled_from(_NAMES), min_size=rank, max_size=rank, unique=True))
-    seq = draw(st.permutations([i // 2 for i in range(2 * rank)]))
-    types = {name: draw(st.sampled_from("ab")) for name in names}
-    return Nanoword((names[i] for i in seq), types)
-
-
-@given(named_nanowords())
+@given(named_nanowords(max_rank=7))
 @settings(max_examples=100, deadline=None)
 def test_named_words_up_to_rank_7(word):
     check_word(word)
