@@ -12,15 +12,16 @@ Exit codes: 0 for success (including an "unknown" equivalence verdict), 1 for
 usage or input errors, 2 when a verification suite fails.  Output depends on
 the arguments only: ``reduce`` and ``equiv`` search with ``--budget``
 ("rank_increase,max_states,max_depth") or ``DEFAULT_BUDGET``, and
-``tabulate --oracle`` with ``tabulate.ORACLE_BUDGET``.  Each ``verify``
-default is stated once, in ``build_parser``.  Requests whose size would
-explode are rejected with exit code 1 before any work: ``cable``, ``rdot``,
-``preimage`` and ``gen`` results above rank ``MAX_WORD_RANK``, ``compute``
-words above rank ``MAX_MATRIX_RANK`` = 1000, ``reduce`` and ``equiv`` words
-above rank ``MAX_SEARCH_RANK`` = 32, ``--max-rank`` above
-``MAX_TABULATE_RANK`` = 6 (``tabulate``, ``graph``), ``MAX_ORACLE_RANK`` = 3
-(``tabulate --oracle``) or ``MAX_VERIFY_RANK`` = 4 (``verify``), and a
-``verify --sample`` below 0 or above ``MAX_VERIFY_SAMPLE``.
+``tabulate --oracle`` names each class by ``search.oracle_class``, within
+``search.ORACLE_BUDGET``.  Each ``verify`` default is stated once, in
+``build_parser``.  Requests whose size would explode are rejected with exit
+code 1 before any work: ``cable``, ``rdot``, ``preimage`` and ``gen``
+results above rank ``MAX_WORD_RANK``, ``compute`` words above rank
+``MAX_MATRIX_RANK`` = 1000, ``reduce`` and ``equiv`` words above rank
+``MAX_SEARCH_RANK`` = 32, ``--max-rank`` above ``MAX_TABULATE_RANK`` = 6
+(``tabulate``, ``graph``), ``MAX_ORACLE_RANK`` = 3 (``tabulate --oracle``)
+or ``MAX_VERIFY_RANK`` = 4 (``verify``), and a ``verify --sample`` below 0
+or above ``MAX_VERIFY_SAMPLE``.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ MAX_TABULATE_RANK = 6
 #: move-invariance alone runs 921,482 instances at rank 5.
 MAX_VERIFY_RANK = 4
 #: Largest ``--max-rank`` of ``tabulate --oracle``, which runs one bounded
-#: search per word: ``ORACLE_BUDGET`` was checked to merge the same words as
-#: the default budget up to rank 3 only.
+#: search per word: ``search.ORACLE_BUDGET`` was checked to merge the same
+#: words as the default budget up to rank 3 only.
 MAX_ORACLE_RANK = 3
 #: Largest ``verify --sample``; ranks 4-5 hold only 3,246 shift classes.
 MAX_VERIFY_SAMPLE = 1000
@@ -71,7 +72,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budget(text: str | None) -> SearchBudget:
-    return SearchBudget.parse(text) if text else DEFAULT_BUDGET
+    return DEFAULT_BUDGET if text is None else SearchBudget.parse(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,7 +196,8 @@ def _cmd_compose(args) -> None:
 
 def _cmd_cable(args) -> None:
     word, n = parse(args.word), args.n
-    _check_size("cable rank", word.rank * n * n + n - 1, MAX_WORD_RANK)
+    if n >= 1:  # ops.cable rejects a smaller width with its own message
+        _check_size("cable rank", word.rank * n * n + n - 1, MAX_WORD_RANK)
     print(canonical_relabel(cable(word, n)).text())
 
 

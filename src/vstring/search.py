@@ -63,8 +63,10 @@ from .ops import covering, coverings
 __all__ = [
     "SearchBudget",
     "DEFAULT_BUDGET",
+    "ORACLE_BUDGET",
     "EquivalenceResult",
     "reduce_bounded",
+    "oracle_class",
     "equivalent_bounded",
     "CoverStats",
     "cover_stats",
@@ -96,13 +98,17 @@ class SearchBudget:
     @classmethod
     def parse(cls, text: str) -> "SearchBudget":
         """Parse "increase,states,depth", the form of the ``--budget`` option."""
-        parts = [int(p) for p in text.split(",")]
-        if len(parts) != 3:
+        parts = text.split(",")
+        if len(parts) != 3 or not all(p.strip().removeprefix("-").isdecimal() for p in parts):
             raise ValueError(f"expected 3 comma-separated integers, got {text!r}")
-        return cls(*parts)
+        return cls(*map(int, parts))
 
 
 DEFAULT_BUDGET = SearchBudget()
+#: Search budget of the oracle.  Up to rank 3, the largest rank ``tabulate
+#: --oracle`` accepts, it merges the same words as the default budget, in a
+#: seventh of the time.
+ORACLE_BUDGET = SearchBudget(1, 2000, 32)
 
 
 @dataclass
@@ -191,6 +197,19 @@ def reduce_bounded(
     best_key = min(nodes, key=lambda k: (nodes[k].word.rank, k))
     trace = MoveTrace(alpha, tuple(frontier.trace_steps(best_key)))
     return nodes[best_key].word, trace
+
+
+def oracle_class(word: Nanoword) -> Nanoword:
+    """The word that names ``word``'s class in every search-merged view.
+
+    It is the shift-canonical form of the lowest-rank word that
+    ``reduce_bounded`` reaches from ``word``'s canonical form within
+    ``ORACLE_BUDGET``.  Homotopic words share a class only when one-sided
+    searches happen to reach the same word, so the class is not certified:
+    two words with different oracle classes may still be homotopic.  A
+    certified class table would replace this body, and both views with it.
+    """
+    return shift_canonical(reduce_bounded(shift_canonical(word), ORACLE_BUDGET)[0])
 
 
 @dataclass(frozen=True)
@@ -376,23 +395,21 @@ class CoveringGraph:
 
 
 def covering_graph(
-    words: Iterable[Nanoword], r: int, *, oracle: SearchBudget | None = None
+    words: Iterable[Nanoword], r: int, *, oracle: bool = False
 ) -> CoveringGraph:
     """Close the word set under the r-covering and record the induced map.
 
-    With ``oracle``, words a bounded search proves homotopic are merged into
-    one node (keyed by the least canonical form found); the covering map is
-    well-defined on homotopy classes, so edges factor through the merge.
+    With ``oracle``, each node is a word's ``oracle_class``, the canonical
+    form of its bounded reduction within ``ORACLE_BUDGET``, so words that
+    reduce to the same word are one node; the covering map is well-defined on
+    homotopy classes, so edges factor through the merge.
     """
     classes: dict[str, Nanoword] = {}
 
     def node_of(word: Nanoword) -> Nanoword:
         key = shift_canonical_text(word)
         if key not in classes:
-            canon = shift_canonical(word)
-            if oracle is not None:
-                canon = shift_canonical(reduce_bounded(canon, oracle)[0])
-            classes[key] = canon
+            classes[key] = oracle_class(word) if oracle else shift_canonical(word)
         return classes[key]
 
     nodes: dict[str, Nanoword] = {}

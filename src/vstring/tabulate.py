@@ -17,14 +17,9 @@ from .core import Nanoword, shift_canonical, shift_canonical_text
 from .invariants import primitive_based_matrix, rho, u_polynomial
 from .enumeration import canonical_population
 from .ops import coverings
-from .search import SearchBudget, reduce_bounded
+from .search import oracle_class
 
-__all__ = ["ORACLE_BUDGET", "record_for", "tabulation_records", "record_to_json"]
-
-#: Search budget of the oracle.  Up to rank 3, the largest rank ``tabulate
-#: --oracle`` accepts, it merges the same words as the default budget, in a
-#: seventh of the time.
-ORACLE_BUDGET = SearchBudget(1, 2000, 32)
+__all__ = ["record_for", "tabulation_records", "record_to_json"]
 
 
 def record_for(word: Nanoword) -> dict:
@@ -44,17 +39,13 @@ def record_for(word: Nanoword) -> dict:
 def tabulation_records(max_rank: int, *, oracle: bool = False) -> Iterator[dict]:
     """Records for every canonical word of rank <= max_rank, made as they are read.
 
-    With ``oracle``, words that a bounded search within ``ORACLE_BUDGET``
-    proves homotopic are merged: each homotopy class keeps its least
-    canonical form.
+    With ``oracle``, words with the same ``search.oracle_class`` are merged
+    and each record is that class: the canonical form of the words' bounded
+    reduction within ``search.ORACLE_BUDGET``.
     """
     words = canonical_population(max_rank)
     if oracle:
-        # The population is sorted by text, so each class keeps its first word.
-        by_reduced: dict[str, Nanoword] = {}
-        for w in words:
-            by_reduced.setdefault(shift_canonical_text(reduce_bounded(w, ORACLE_BUDGET)[0]), w)
-        words = list(by_reduced.values())
+        words = sorted({oracle_class(w) for w in words}, key=shift_canonical_text)
     return map(record_for, words)
 
 

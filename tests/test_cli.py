@@ -258,6 +258,10 @@ class TestTabulate:
         plain = list(tabulation_records(2))
         merged = out.read_text().splitlines()
         assert len(merged) < len(plain)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "df65cfacea536fafddbabad24cdbcf16b846e77a94cddca2f837b96db9faaa1c"
+        )
+        assert len(merged) == 1
 
 
 class TestGraph:
@@ -363,8 +367,21 @@ class TestSizeGuards:
             ),
             (("reduce", "AA|a", "--budget", "1,2"), "expected 3 comma-separated integers"),
             (("preimage", "ABAB|aa", "-r", "-3"), "covering index must be >= 0, got -3"),
+            (("cable", "ABAB|aa", "-n", "-200"), "cable width must be >= 1, got -200"),
+            (
+                ("reduce", "AA|a", "--budget", "1,2,x"),
+                "expected 3 comma-separated integers, got '1,2,x'",
+            ),
+            (("reduce", "AA|a", "--budget", ""), "expected 3 comma-separated integers, got ''"),
         ],
-        ids=["graph-negative-r", "reduce-bad-budget", "preimage-negative-r"],
+        ids=[
+            "graph-negative-r",
+            "reduce-bad-budget",
+            "preimage-negative-r",
+            "cable-negative-width",
+            "reduce-budget-not-integer",
+            "reduce-empty-budget",
+        ],
     )
     def test_bad_arguments_keep_existing_output(
         self, capsys, monkeypatch, tmp_path, argv, message

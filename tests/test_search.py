@@ -14,6 +14,7 @@ from vstring.core import (
     parse,
     shift,
     shift_canonical,
+    shift_canonical_text,
     shift_orbit,
     shifts_to_canonical,
 )
@@ -27,13 +28,16 @@ from vstring.invariants import primitive_based_matrix, rho, u_polynomial, bm_iso
 from vstring.ops import gen_alpha_n, gen_gamma_pq
 from vstring.search import (
     DEFAULT_BUDGET,
+    ORACLE_BUDGET,
     SearchBudget,
     _Frontier,
     _join_traces,
     covering_graph,
     equivalent_bounded,
+    oracle_class,
     reduce_bounded,
 )
+from vstring.tabulate import record_for, record_to_json, tabulation_records
 
 from test_search_reference import ref_successors
 
@@ -82,6 +86,7 @@ class TestEnumeration:
 class TestSearchBudget:
     def test_parse(self):
         assert SearchBudget.parse("1,100,8") == SearchBudget(1, 100, 8)
+        assert SearchBudget.parse("1, 100, 8") == SearchBudget(1, 100, 8)
         with pytest.raises(ValueError):
             SearchBudget.parse("1,2")
         with pytest.raises(ValueError):
@@ -335,8 +340,9 @@ class TestCoveringGraph:
         key = shift_canonical(g22).text()
         assert g.edges[key] == key
 
-    def test_rank3_population_shape(self):
-        g = covering_graph(canonical_population(3), 2)
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_rank3_population_shape(self, oracle):
+        g = covering_graph(canonical_population(3), 2, oracle=oracle)
         comps = g.components()
         assert comps
         for comp in comps:
@@ -352,9 +358,42 @@ class TestCoveringGraph:
     def test_oracle_merges_homotopic_nodes(self):
         words = [parse("ABAB|aa"), EMPTY]
         plain = covering_graph(words, 2)
-        merged = covering_graph(words, 2, oracle=SearchBudget(2, 5000, 16))
+        merged = covering_graph(words, 2, oracle=True)
         assert len(plain.nodes) == 2
         assert set(merged.nodes) == {"0"}
         assert merged.edges == {"0": "0"}
         for comp in merged.components():
             assert merged.component_is_tree_with_root_loop(comp)
+
+
+def ref_oracle_words(max_rank):
+    """The words the tabulation kept before ``oracle_class`` named them.
+
+    Each class, keyed by its bounded reduction, keeps its first word of the
+    population, which is sorted by text.
+    """
+    by_reduced = {}
+    for w in canonical_population(max_rank):
+        by_reduced.setdefault(shift_canonical_text(reduce_bounded(w, ORACLE_BUDGET)[0]), w)
+    return list(by_reduced.values())
+
+
+class TestOracleClass:
+    @pytest.mark.parametrize("max_rank", [0, 1, 2, 3])
+    def test_tabulation_matches_old_merge(self, max_rank):
+        new = [record_to_json(r) for r in tabulation_records(max_rank, oracle=True)]
+        assert new == [record_to_json(record_for(w)) for w in ref_oracle_words(max_rank)]
+
+    def test_tabulation_and_graph_name_the_same_classes(self):
+        records = tabulation_records(3, oracle=True)
+        graph = covering_graph(canonical_population(3), 2, oracle=True)
+        assert {r["canonical"] for r in records} == set(graph.nodes)
+
+    @pytest.mark.parametrize(
+        "word,name",
+        [("AABCBDCD|aaab", "ABACBC|aab"), ("AABCBDCD|aabb", "ABACBC|abb")],
+    )
+    def test_rank_4_words_named_by_their_reduction(self, word, name):
+        # The least population word of each of these classes is of rank 4,
+        # but the class is named by its reduction, of rank 3.
+        assert oracle_class(parse(word)).text() == name
