@@ -48,8 +48,9 @@ MAX_WORD_RANK = 10_000
 #: matrix costs O(rank^3) time and O(rank^2) memory.
 MAX_MATRIX_RANK = 1000
 #: Largest rank of a word that ``reduce`` and ``equiv`` will search from: one
-#: expansion of a rank-k state costs about k^3, from the H3-family sites, and
-#: a search makes many.
+#: expansion of a rank-k state costs about k^3, from its 8k^2 letter-adding
+#: sites, each of which builds and keys a word of length about 2k, and a
+#: search makes many.
 MAX_SEARCH_RANK = 32
 #: Largest ``--max-rank`` that ``tabulate`` and ``graph`` will enumerate;
 #: the raw word count grows factorially with the rank.

@@ -48,7 +48,7 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "TYPE_A",
@@ -323,8 +323,9 @@ def shift_inv(alpha: Nanoword) -> Nanoword:
 def shift_orbit(alpha: Nanoword) -> list[Nanoword]:
     """All words reachable by iterated shifts, starting with ``alpha``.
 
-    The orbit is finite (iterating the shift 2*len(word) times is the
-    identity) and closed under inverse shifts.
+    The orbit is finite (iterating the shift len(word) times is the
+    identity: each letter is carried past the base point twice, so its type
+    flips twice) and closed under inverse shifts.
     """
     orbit = [alpha]
     current = shift(alpha)
@@ -383,6 +384,21 @@ def _least_rotations(word: tuple[str, ...], occ: Mapping[str, tuple[int, int]]) 
         labels.append(least)
         fresh += least == new
     return candidates
+
+
+def _shift_period(alpha: Nanoword) -> int:
+    """Least p > 0 such that ``shift^p(alpha)`` is ``alpha`` up to renaming.
+
+    ``len(word)`` shifts are the identity, so the rotations that agree with
+    the least one after renaming lie a multiple of p apart, and all of them
+    survive ``_least_rotations``.  The empty word has period 1.
+    """
+    first, *rest = _least_rotations(alpha.word, alpha._occ)
+    least = _relabelled_shift(alpha, first)
+    return next(
+        (k - first for k in rest if _relabelled_shift(alpha, k) == least),
+        max(len(alpha.word), 1),
+    )
 
 
 def _shift_canonical_key(alpha: Nanoword) -> tuple[str, int]:
@@ -493,18 +509,39 @@ _PAIR_COUNT = {
 }
 
 
-def _pair_positions(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Positions of m = 1, 2 or 3 disjoint adjacent letter pairs in a word of length n.
+def _pair_candidates(alpha: Nanoword, m: int) -> list[tuple[int, ...]]:
+    """Positions of m = 1, 2 or 3 disjoint adjacent pairs that may form a site.
 
-    Pairs start at p < q < r with gaps of at least 2, in lexicographic order:
-    the k-th start is the k-th element of a combination of range(n - m), plus k.
+    Pairs start at p < q < r with gaps of at least 2, in lexicographic order.
+    Past one pair, the letters fix the rest (see ``find_sites``), so at most
+    one tuple per p is a candidate for two pairs and four for three.
     """
+    w, occ = alpha.word, alpha._occ
+    n = len(w)
     if m == 1:
-        return ((p, p + 1) for p in range(n - 1))
-    starts = itertools.combinations(range(n - m), m)
-    if m == 2:
-        return ((p, p + 1, q + 1, q + 2) for p, q in starts)
-    return ((p, p + 1, q + 1, q + 2, r + 2, r + 3) for p, q, r in starts)
+        return [(p, p + 1) for p in range(n - 1)]
+
+    def other(i: int) -> int:
+        first, second = occ[w[i]]
+        return second if first == i else first
+
+    found: set[tuple[int, ...]] = set()
+    for p in range(n - 2):
+        if w[p] == w[p + 1]:
+            continue
+        ox, oy = other(p), other(p + 1)
+        if m == 2:
+            if abs(ox - oy) == 1 and min(ox, oy) >= p + 2:
+                found.add((p, p + 1, min(ox, oy), max(ox, oy)))
+            continue
+        for oa, ob in ((ox, oy), (oy, ox)):
+            for q in (oa - 1, oa):
+                if q < p + 2 or q + 1 >= n:
+                    continue
+                oc = other(q + 1 if q == oa else q)
+                if abs(ob - oc) == 1 and min(ob, oc) >= q + 2:
+                    found.add((p, p + 1, q, q + 1, min(ob, oc), max(ob, oc)))
+    return sorted(found)
 
 
 def _site_kind(alpha: Nanoword, positions: Sequence[int]) -> MoveKind | None:
@@ -556,6 +593,14 @@ def find_sites(
 
     Letter-adding directions enumerate insertion slots crossed with the two
     possible type choices; pass ``max_sites`` to cap the enumeration.
+
+    Pair sites come in the order of their positions.  Beyond H1-, the first
+    pair (p, p+1) holds two distinct letters, and the other pairs are read
+    from where the letters occur again.  An H2- or H2a- site's second pair
+    holds the other occurrences of both.  In an H3-family site, A is one of
+    the two and B the other; the second pair holds A's other occurrence and
+    a letter C, and the third pair the other occurrences of B and C.  Each
+    candidate is then classified by the same rule as ``apply_move`` uses.
     """
     n = len(alpha.word)
     sites: Iterable[MoveSite]
@@ -577,7 +622,7 @@ def find_sites(
     else:
         sites = (
             MoveSite(kind, positions)
-            for positions in _pair_positions(n, _PAIR_COUNT[kind])
+            for positions in _pair_candidates(alpha, _PAIR_COUNT[kind])
             if _site_kind(alpha, positions) is kind
         )
     return list(itertools.islice(sites, max_sites))

@@ -24,6 +24,16 @@ later rotation that uses it is a site of rotation 1 as well.  So the search
 applies every site of w and, from ``shift(w)``, only the letter-removing
 and H3-family sites whose last pair is (n-2, n-1).
 
+Of the letter-adding sites of w, those that repeat the state of an earlier
+site of w are skipped; the first site to reach each state is unchanged.
+When n > 0, cyclic slot n is slot 0, so a site with a slot equal to n is
+skipped: H1+ (n, t) reaches the state of (0, t), H2+ (i, n, ts) that of
+(0, i, ts), and H2a+ (i, n, (ta, tb)) that of (0, i, (tb, ta)).  If w has
+shift period p < n, meaning rotation p of w renamed is w with its types,
+then a site whose first slot is p or more reaches the state of the site
+with every slot p less, and is skipped too.  The empty word's one slot is
+slot 0 and slot n at once, so none of its sites is skipped.
+
 Homotopy of virtual strings is only semi-decidable with these tools: search
 yields upper-bound witnesses (a low-rank representative, an equivalence
 trace) or "unknown", never a proof of inequivalence by itself.
@@ -48,6 +58,7 @@ from .core import (
     RANK_DECREASING,
     RANK_INCREASING,
     RANK_PRESERVING,
+    _shift_period,
     apply_move,
     find_sites,
     invert_steps,
@@ -160,14 +171,20 @@ class _Frontier:
         self, word: Nanoword
     ) -> Iterator[tuple[tuple[MoveSite, ...], Nanoword]]:
         """(steps, result) of each site applied; see the module docstring."""
-        last = len(word.word) - 1
+        n = len(word.word)
+        adds = word.rank < self.rank_cap
+        # Letter-adding sites are kept below slot `period` and below slot n
+        # (the empty word has one slot); the others repeat an earlier state.
+        period, slots = _shift_period(word) if adds else 0, max(n, 1)
         for j, rotated in enumerate((word, shift(word))):
             prefix = (MoveSite(MoveKind.SHIFT),) * j
             for kind in ALL_MOVES:
-                if kind in RANK_INCREASING and (j or word.rank + 1 > self.rank_cap):
+                adding = kind in RANK_INCREASING
+                if adding and (j or not adds):
                     continue
                 for site in find_sites(rotated, kind):
-                    if not j or site.positions[-1] == last:
+                    first, last = site.positions[0], site.positions[-1]
+                    if (first < period and last < slots) if adding else (not j or last == n - 1):
                         yield prefix + (site,), apply_move(rotated, site)
 
     def trace_steps(self, key: str) -> list[MoveSite]:

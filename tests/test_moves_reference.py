@@ -22,8 +22,9 @@ from vstring.core import (
     _check_positions,
     _check_types,
     _invert_one,
-    _pair_positions,
+    _pair_candidates,
     _pick_fresh,
+    _site_kind,
     apply_move,
     find_sites,
     parse,
@@ -268,14 +269,22 @@ def candidate_positions(n, pairs):
     return [(p, p + 1, q, q + 1, r, r + 1) for p, q, r in ref_pair_triples(n)]
 
 
-@pytest.mark.parametrize("pairs", [1, 2, 3])
-def test_pair_positions_match_reference(pairs):
-    for n in range(30):
-        assert list(_pair_positions(n, pairs)) == candidate_positions(n, pairs), n
-
-
 def rotations_of_population(max_rank):
     return [w for c in canonical_population(max_rank) for w in shift_orbit(c)]
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 3])
+def test_pair_candidates_hold_every_site(pairs):
+    # The candidates read from the occurrence table are sorted, well-shaped
+    # position tuples, and hold every tuple that forms a site of any kind.
+    for alpha in rotations_of_population(3):
+        shaped = candidate_positions(len(alpha.word), pairs)
+        candidates = _pair_candidates(alpha, pairs)
+        assert candidates == sorted(set(candidates))
+        assert set(candidates) <= set(shaped)
+        for positions in shaped:
+            if _site_kind(alpha, positions) is not None:
+                assert positions in candidates, (alpha, positions)
 
 
 ROTATIONS_R4 = rotations_of_population(4)

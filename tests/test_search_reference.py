@@ -1,28 +1,31 @@
 """Differential test of the search's successor generation.
 
 The reference below is the loop the search used before: every site of every
-rotation in the shift orbit of a state's word.  The search applies every
-site of rotation 0 and, from rotation 1, only the letter-removing and
-H3-family sites whose last pair straddles the base point of rotation 0 (see
-the ``search`` module docstring).  Both must reach the same shift classes,
+rotation in the shift orbit of a state's word.  The search applies the
+sites of rotation 0, less the letter-adding sites that repeat an earlier
+one's state, and, from rotation 1, only the letter-removing and H3-family
+sites whose last pair straddles the base point of rotation 0 (see the
+``search`` module docstring).  Both must reach the same shift classes, each
+class must be first reached by the same site, so that traces do not change,
 and each site the search skips in rotation 1 must reach a class that
-rotation 0 already reaches, so that every state is first found by the same
-site as before and traces do not change.
+rotation 0 already reaches.
 """
 
 from hypothesis import given, settings
 
 from vstring.core import (
+    EMPTY,
     RANK_INCREASING,
     MoveKind,
     MoveSite,
     apply_move,
     find_sites,
+    parse,
     shift_canonical_text,
     shift_orbit,
 )
 from vstring.enumeration import canonical_population
-from vstring.ops import cable
+from vstring.ops import cable, gen_alpha_n
 from vstring.search import ALL_MOVES, SearchBudget, _Frontier
 
 from test_core import named_nanowords
@@ -44,6 +47,14 @@ def is_subsequence(short, long):
     return all(any(item == other for other in remaining) for item in short)
 
 
+def first_steps(successors):
+    """The steps that first reach each shift class, by its key."""
+    first = {}
+    for steps, w in successors:
+        first.setdefault(shift_canonical_text(w), steps)
+    return first
+
+
 def check_word(word, rank_increase=0, rotations=None):
     """The successors of ``word`` against the reference on its first ``rotations``."""
     frontier = _Frontier(word, SearchBudget(max_rank_increase=rank_increase))
@@ -51,8 +62,7 @@ def check_word(word, rank_increase=0, rotations=None):
     ref = list(ref_successors(frontier, word, rotations))
     # The same sites in the same order, a subset of the reference's.
     assert is_subsequence(new, ref)
-    new_keys = {shift_canonical_text(w) for _, w in new}
-    assert new_keys == {shift_canonical_text(w) for _, w in ref}
+    assert first_steps(new) == first_steps(ref)
     rotation0 = {shift_canonical_text(w) for steps, w in new if len(steps) == 1}
     kept = {steps for steps, _ in new}
     for steps, w in ref:
@@ -73,6 +83,29 @@ def test_population_rank_4():
 def test_cables_of_population_rank_2():
     for word in canonical_population(2):
         check_word(cable(word, 2))
+        for n in (2, 3):
+            check_word(cable(word, n), rank_increase=1, rotations=2)
+
+
+def test_shift_symmetric_words_with_letter_adding_sites():
+    # alpha_n has shift period 2.  The skipped letter-adding sites are all
+    # in rotation 0, so rotations 0 and 1 of the reference check them.
+    for n in range(3, 9):
+        check_word(gen_alpha_n(n), rank_increase=1, rotations=2)
+    # The empty word's one slot is slot n as well; none of its six
+    # letter-adding sites may be skipped.
+    new, _ = check_word(EMPTY, rank_increase=1)
+    assert len(new) == 6
+
+
+def test_one_expansion_of_a_period_2_word():
+    # ABCABC|aba is its own rotation 2 up to renaming.  Of its 126
+    # letter-adding sites, the 48 with both slots below 6 and the first
+    # below 2 are applied, besides its 5 other sites.
+    word = parse("ABCABC|aba")
+    frontier = _Frontier(word, SearchBudget(max_rank_increase=1))
+    assert len(list(frontier._successors(word))) == 53
+    check_word(word, rank_increase=1)
 
 
 def test_rotation_1_keeps_only_straddling_sites():
