@@ -173,9 +173,11 @@ class _Frontier:
         """(steps, result) of each site applied; see the module docstring."""
         n = len(word.word)
         adds = word.rank < self.rank_cap
-        # Letter-adding sites are kept below slot `period` and below slot n
-        # (the empty word has one slot); the others repeat an earlier state.
-        period, slots = _shift_period(word) if adds else 0, max(n, 1)
+        # A letter-adding site is kept when its first slot is below the shift
+        # period and its last below slot n (the empty word has one slot); the
+        # others repeat an earlier site's state.
+        period = _shift_period(word) if adds else 0
+        slots = max(n, 1)
         for j, rotated in enumerate((word, shift(word))):
             prefix = (MoveSite(MoveKind.SHIFT),) * j
             for kind in ALL_MOVES:
