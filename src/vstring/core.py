@@ -386,19 +386,49 @@ def _least_rotations(word: tuple[str, ...], occ: Mapping[str, tuple[int, int]]) 
     return candidates
 
 
+def _arrow_rotations(alpha: Nanoword) -> list[bytes]:
+    """The rotations of the arrow sequence of ``alpha``, as bytes, rotation 0 first.
+
+    Read as a diagram, each letter is an arrow between its two positions.
+    Entry j of the sequence is ``2 * d + tail``: ``d`` is the distance
+    forward from j to the other occurrence of its letter, mod the length,
+    and ``tail`` says that j is the arrow's tail, the first occurrence of a
+    type-a letter or the second of a type-b one.  Renaming leaves the
+    sequence unchanged, and it determines the word up to renaming.  A shift
+    rotates it by one entry: the letter carried past the base point changes
+    type, so its arrow stays.  Every entry is below twice the length, so it
+    takes one byte up to length 128 and eight bytes beyond.
+    Rotation k starts at entry k; the empty word has one, empty, rotation.
+    """
+    n = len(alpha.word)
+    entries = [0] * n
+    for name, (first, second) in alpha._occ.items():
+        entries[first] = 2 * (second - first) + (alpha._tmap[name] == TYPE_A)
+        entries[second] = 2 * (n - second + first) + (alpha._tmap[name] == TYPE_B)
+    width = 1 if n <= 128 else 8  # every entry is below 2 * n
+    seq = bytes(entries) if width == 1 else b"".join([x.to_bytes(8, "big") for x in entries])
+    twice, size = seq + seq, len(seq)
+    return [twice[i : i + size] for i in range(0, size, width)] or [b""]
+
+
+def _arrow_key(alpha: Nanoword) -> bytes:
+    """The least rotation of the arrow sequence: an exact key of the shift class.
+
+    Two words have the same key exactly when one is a shift of the other up
+    to renaming, that is when their ``shift_canonical_text`` agrees, but
+    nothing is renamed or printed.
+    """
+    return min(_arrow_rotations(alpha))
+
+
 def _shift_period(alpha: Nanoword) -> int:
     """Least p > 0 such that ``shift^p(alpha)`` is ``alpha`` up to renaming.
 
-    ``len(word)`` shifts are the identity, so the rotations that agree with
-    the least one after renaming lie a multiple of p apart, and all of them
-    survive ``_least_rotations``.  The empty word has period 1.
+    That is the least rotation after 0 that gives the arrow sequence back;
+    rotation ``len(word)`` always does.  The empty word has period 1.
     """
-    first, *rest = _least_rotations(alpha.word, alpha._occ)
-    least = _relabelled_shift(alpha, first)
-    return next(
-        (k - first for k in rest if _relabelled_shift(alpha, k) == least),
-        max(len(alpha.word), 1),
-    )
+    rotations = _arrow_rotations(alpha)
+    return (rotations + rotations[:1]).index(rotations[0], 1)
 
 
 def _shift_canonical_key(alpha: Nanoword) -> tuple[str, int]:

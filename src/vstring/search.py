@@ -1,7 +1,12 @@
 """Bounded homotopy search over nanowords.
 
-States are shift-orbit canonical forms, which quotients out the base-point
-symmetry; transitions apply one H-move to any shift of the state.  Rank-
+States are shift classes, so the base-point symmetry is quotiented out.  A
+state is keyed by the least rotation of its word's arrow sequence
+(``core._arrow_key``), with no renaming or printing.  The printed canonical
+text orders states only where the choice among them shows: the lowest-rank
+state ``reduce_bounded`` returns, the shared state at which
+``equivalent_bounded`` joins its two searches, and the shift counts of that
+join.  Transitions apply one H-move to any shift of the state.  Rank-
 preserving and rank-decreasing moves are always available.  The rank cap is
 the start's rank plus ``max_rank_increase``, and a letter-adding move is
 tried only from a state below the cap; an H2 insertion adds two letters, so
@@ -58,6 +63,7 @@ from .core import (
     RANK_DECREASING,
     RANK_INCREASING,
     RANK_PRESERVING,
+    _arrow_key,
     _shift_period,
     apply_move,
     find_sites,
@@ -125,12 +131,12 @@ ORACLE_BUDGET = SearchBudget(1, 2000, 32)
 @dataclass
 class _Node:
     word: Nanoword          # concrete word reached (trace target)
-    parent: str | None      # key of the parent state
+    parent: bytes | None    # key of the parent state
     steps: tuple[MoveSite, ...]  # sites leading from the parent's word here
 
 
 class _Frontier:
-    """Best-first expansion over shift-orbit canonical states.
+    """Best-first expansion over shift classes, keyed by ``_arrow_key``.
 
     Heap entries are (rank, depth, insertion index, key); the insertion index
     breaks ties in the order states were reached.
@@ -140,11 +146,11 @@ class _Frontier:
         self.start = start
         self.budget = budget
         self.rank_cap = start.rank + budget.max_rank_increase
-        key = shift_canonical_text(start)
-        self.nodes: dict[str, _Node] = {key: _Node(start, None, ())}
-        self.heap: list[tuple[int, int, int, str]] = [(start.rank, 0, 0, key)]
+        key = _arrow_key(start)
+        self.nodes: dict[bytes, _Node] = {key: _Node(start, None, ())}
+        self.heap: list[tuple[int, int, int, bytes]] = [(start.rank, 0, 0, key)]
 
-    def expand_one(self, shared_states: int) -> list[str] | None:
+    def expand_one(self, shared_states: int) -> list[bytes] | None:
         """Pop one state and insert its successors; returns the new keys.
 
         Returns None, and pops nothing, when no state is left to expand or
@@ -155,11 +161,11 @@ class _Frontier:
         _, depth, _, key = heapq.heappop(self.heap)
         if depth >= self.budget.max_depth:
             return []
-        new_keys: list[str] = []
+        new_keys: list[bytes] = []
         for steps, word in self._successors(self.nodes[key].word):
             if len(self.nodes) + shared_states >= self.budget.max_states:
                 break
-            nkey = shift_canonical_text(word)
+            nkey = _arrow_key(word)
             if nkey in self.nodes:
                 continue
             heapq.heappush(self.heap, (word.rank, depth + 1, len(self.nodes), nkey))
@@ -189,10 +195,10 @@ class _Frontier:
                     if (first < period and last < slots) if adding else (not j or last == n - 1):
                         yield prefix + (site,), apply_move(rotated, site)
 
-    def trace_steps(self, key: str) -> list[MoveSite]:
+    def trace_steps(self, key: bytes) -> list[MoveSite]:
         """The sites from the start word to the word of state ``key``."""
         steps: list[MoveSite] = []
-        k: str | None = key
+        k: bytes | None = key
         while k is not None:
             node = self.nodes[k]
             steps[:0] = node.steps
@@ -210,12 +216,13 @@ def reduce_bounded(
     """
     frontier = _Frontier(alpha, budget)
     while frontier.expand_one(0) is not None:
-        if EMPTY.text() in frontier.nodes:  # the one rank-0 state
+        if _arrow_key(EMPTY) in frontier.nodes:  # the one rank-0 state
             break
     nodes = frontier.nodes
-    best_key = min(nodes, key=lambda k: (nodes[k].word.rank, k))
-    trace = MoveTrace(alpha, tuple(frontier.trace_steps(best_key)))
-    return nodes[best_key].word, trace
+    low = min(node.word.rank for node in nodes.values())
+    _, key = min((shift_canonical_text(n.word), k) for k, n in nodes.items() if n.word.rank == low)
+    trace = MoveTrace(alpha, tuple(frontier.trace_steps(key)))
+    return nodes[key].word, trace
 
 
 def oracle_class(word: Nanoword) -> Nanoword:
@@ -245,7 +252,7 @@ class EquivalenceResult:
     report: DistinguishReport | None = None
 
 
-def _join_traces(fa: _Frontier, fb: _Frontier, key: str) -> MoveTrace:
+def _join_traces(fa: _Frontier, fb: _Frontier, key: bytes) -> MoveTrace:
     """Trace ``fa.start`` -> ``fb.start`` through the state ``key`` both sides hold.
 
     With ``ka``/``kb`` the forward shifts that take each side's word at ``key``
@@ -297,7 +304,7 @@ def equivalent_bounded(
                 break
         if not progressed:
             return EquivalenceResult("unknown", report=report)
-    trace = _join_traces(fa, fb, min(common))
+    trace = _join_traces(fa, fb, min(common, key=lambda k: shift_canonical_text(fa.nodes[k].word)))
     return EquivalenceResult("homotopic", trace=trace)
 
 

@@ -10,9 +10,15 @@ labels of the Gauss word, drops each rotation at its first larger label, and
 prints every rotation that ties on the least one (one rotation in the common
 case).  The population reference keys every raw word of each rank; the
 library keys only one Gauss word per rotation class.
+
+The search keys states by the least rotation of the arrow sequence instead
+(``_arrow_key``); it must split words into the same classes as the printed
+key, and its shift period must equal the one the renamed rotations give.
 """
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,14 +26,17 @@ from hypothesis import given, settings, strategies as st
 from vstring.core import (
     EMPTY,
     Nanoword,
+    _arrow_key,
     _least_rotations,
     _occurrences,
     _relabelled_shift,
     _rotation,
     _shift_canonical_key,
+    _shift_period,
     _text,
     canonical_relabel,
     continuation_names,
+    fresh_names,
     isomorphic,
     parse,
     shift,
@@ -42,9 +51,14 @@ from vstring.enumeration import (
     canonical_population,
     standard_gauss_words,
 )
-from vstring.ops import cable, r_dot
+from vstring.ops import cable, gen_alpha_n, r_dot
+from vstring.search import SearchBudget, reduce_bounded
 
 from test_core import _NAMES, named_nanowords
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import check_arrow_key  # noqa: E402
 
 
 def _ref_canonical_name(i: int) -> str:
@@ -274,3 +288,99 @@ def test_continuation_names(used, count):
     assert continuation_names(used, count) == ref_continuation_names(used, count)
     # For count 0 the reference returns the rest of the alphabet.
     assert continuation_names(used, 0) == []
+
+
+def ref_shift_period(alpha: Nanoword) -> int:
+    """The shift period by renamed rotations, the library's rule before arrow keys.
+
+    Of the rotations that survive ``_least_rotations``, the first whose
+    renamed word and types equal the least survivor's lies one period after
+    it; with none, the period is the length (1 for the empty word).
+    """
+    first, *rest = _least_rotations(alpha.word, alpha._occ)
+    least = _relabelled_shift(alpha, first)
+    return next(
+        (k - first for k in rest if _relabelled_shift(alpha, k) == least),
+        max(len(alpha.word), 1),
+    )
+
+
+def all_types_flipped(alpha: Nanoword) -> Nanoword:
+    return Nanoword(alpha.word, {x: "b" if t == "a" else "a" for x, t in alpha.types().items()})
+
+
+def assert_key_matches_text(w: Nanoword, others: list[Nanoword]) -> None:
+    """Every shift of ``w`` has its key, and each other word shares it exactly
+    when it shares ``w``'s printed key."""
+    key, text = _arrow_key(w), shift_canonical_text(w)
+    assert {_arrow_key(v) for v in ref_shift_orbit(w)} == {key}
+    for v in others:
+        assert (_arrow_key(v) == key) == (shift_canonical_text(v) == text), (w.text(), v.text())
+
+
+def test_arrow_key_partitions_like_text_up_to_rank_4(capsys):
+    # Every shift of every raw word, keyed both ways: the keys and the texts
+    # must correspond one to one.  Rank r has (2r)! / r! raw words, each with
+    # 2r shifts: 1 + 4 + 48 + 720 + 13,440 words.
+    assert check_arrow_key.main(["--max-rank", "4"]) == 0
+    assert capsys.readouterr().out == "14213 words, 246 classes\n"
+
+
+@pytest.mark.parametrize("rank", range(5))
+def test_shift_period_matches_reference(rank):
+    for w in all_nanowords(rank):
+        assert _shift_period(w) == ref_shift_period(w), w.text()
+
+
+@given(named_nanowords(max_rank=7), st.integers(0, 13))
+@settings(max_examples=100, deadline=None)
+def test_arrow_key_on_extended_names(w, k):
+    orbit = shift_orbit(w)
+    renamed_shift = ref_canonical_relabel(orbit[k % len(orbit)])
+    assert_key_matches_text(w, [renamed_shift, all_types_flipped(w), shift_canonical(w)])
+    assert _shift_period(w) == ref_shift_period(w)
+
+
+def diameters(rank: int, seed: int) -> Nanoword:
+    """Every letter joins opposite positions, so flipping every type is a half turn."""
+    names = fresh_names((), rank)
+    rng = random.Random(seed)
+    return Nanoword(tuple(names) * 2, {x: rng.choice("ab") for x in names})
+
+
+def nested(rank: int, seed: int) -> Nanoword:
+    """The first letter's arrow spans the whole word, so its entry is the largest."""
+    names = fresh_names((), rank)
+    rng = random.Random(seed)
+    return Nanoword(tuple(names) + tuple(reversed(names)), {x: rng.choice("ab") for x in names})
+
+
+def shuffled(rank: int, seed: int) -> Nanoword:
+    rng = random.Random(seed)
+    names = fresh_names((), rank)
+    seq = [names[i // 2] for i in range(2 * rank)]
+    rng.shuffle(seq)
+    return Nanoword(seq, {x: rng.choice("ab") for x in names})
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        gen_alpha_n(64),
+        nested(64, 1),
+        gen_alpha_n(65),
+        nested(65, 1),
+        diameters(65, 1),
+        shuffled(70, 1),
+    ],
+    ids=["alpha64", "nested64", "alpha65", "nested65", "diameters65", "shuffled70"],
+)
+def test_arrow_key_past_one_byte_per_entry(word):
+    # From length 130 on, an entry no longer fits in one byte.
+    twin = all_types_flipped(word)
+    assert_key_matches_text(word, [twin, shift(twin)])
+    assert _arrow_key(shift_inv(word)) == _arrow_key(word)
+    assert _shift_period(word) == ref_shift_period(word)
+    reduced, trace = reduce_bounded(word, SearchBudget(0, 20, 2))
+    assert reduced.rank <= word.rank
+    assert trace.end() == reduced

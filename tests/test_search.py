@@ -263,6 +263,23 @@ class TestJoinTraces:
         assert len(nets) == len(pairs)
         return nets  # ka - kb of each join
 
+    def test_join_at_least_printed_shared_state(self, monkeypatch):
+        # One expansion can make several states shared; the join takes the
+        # one whose printed canonical text is least.
+        shared_counts = []
+
+        def checked(fa, fb, key):
+            shared = [k for k in fa.nodes if k in fb.nodes]
+            shared_counts.append(len(shared))
+            assert key == min(shared, key=lambda k: shift_canonical_text(fa.nodes[k].word))
+            return _join_traces(fa, fb, key)
+
+        monkeypatch.setattr("vstring.search._join_traces", checked)
+        for word in ("AABCCB|aaa", "AABCCB|aab", "AABCCB|bab"):
+            res = equivalent_bounded(EMPTY, parse(word), SearchBudget(1, 500, 16))
+            assert res.verdict == "homotopic"
+        assert min(shared_counts) > 1
+
     def test_population_rank_3_against_shift_orbit(self, monkeypatch):
         pairs = [(w, v) for w in canonical_population(3) for v in shift_orbit(w)]
         # Each pair meets at once, at the state of the canonical first word,
