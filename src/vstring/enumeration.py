@@ -7,12 +7,14 @@ nanoword of rank n.  A shift rotates the Gauss word by one place and flips
 one type, so each shift orbit meets every rotation of its Gauss word under
 some type assignment.  The desk-scale populations used by the property suites
 and the tabulator therefore cross one Gauss word per rotation class with all
-2^n type assignments and deduplicate by the shift-orbit canonical form.
+2^n type assignments, and keep one per shift orbit by comparing type strings
+at the rotations that map the Gauss word to itself.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
 from typing import Iterable, Iterator
 
 from .core import (
@@ -25,7 +27,6 @@ from .core import (
     fresh_names,
     shift_canonical,
     shift_canonical_text,
-    shifts_to_canonical,
 )
 
 __all__ = [
@@ -80,23 +81,40 @@ def canonical_population(max_rank: int) -> list[Nanoword]:
     form only (words homotopic through H-moves stay distinct).  A negative
     ``max_rank`` raises ValueError.  A shift rotates the Gauss word and flips
     one type, so the Gauss words least among their rotations (1, 2, 5, 18,
-    105, 902 at ranks 1-6), under all type maps, meet every orbit.  The
-    printed form of an orbit's representative starts with the least rotation
-    of its Gauss word, so a Gauss word g is kept when rotation 0 survives
-    ``_least_rotations`` of g, the pass that also keys the words.  Of the
-    typed words, exactly one per orbit is its own representative: the one
-    whose least k reaching the canonical form is 0, since its names are
-    already in first-occurrence order.  Only those are kept.
+    105, 902 at ranks 1-6), under all type maps, meet every orbit: a Gauss
+    word g is kept when rotation 0 survives ``_least_rotations`` of g, the
+    pass that also keys the words.  Every surviving rotation k renames back
+    to g, so the printed forms of a typed word at those rotations differ only
+    in the type string, read in sorted-name order: the letters with
+    ``first < k <= second`` flip, and each letter takes the name of its
+    first position in the rotated word.  A type map is its orbit's
+    representative, and kept, when its own string is at most the string at
+    every other survivor (a tie keeps the least k, 0).  So no typed word is
+    canonicalised, and each kept word carries its key (its text, 0).
     """
     if max_rank < 0:
         raise ValueError(f"max rank {max_rank} is negative")
     words = [EMPTY]
     for rank in range(1, max_rank + 1):
-        gauss = (g for g in standard_gauss_words(rank) if 0 in _least_rotations(g, _occurrences(g)))
-        for word, types in _with_all_types(gauss, rank):
-            w = Nanoword(word, types, _trusted=True)
-            if shifts_to_canonical(w) == 0:
-                words.append(w)
+        letters = sorted(fresh_names((), rank))  # the order of the type string
+        position = {x: i for i, x in enumerate(letters)}
+        for g in standard_gauss_words(rank):
+            occ = _occurrences(g)
+            survivors = _least_rotations(g, occ)
+            if survivors[0]:
+                continue
+            # Per other survivor k, by place in its type string: the letter
+            # of rotation 0 whose type lands there, and whether it flips.
+            moves = []
+            for k in survivors[1:]:
+                olds = [g[(occ[y][0] + k) % (2 * rank)] for y in letters]
+                moves.append([(position[x], occ[x][0] < k <= occ[x][1]) for x in olds])
+            for bits in product((0, 1), repeat=rank):
+                if all(bits <= tuple([bits[i] ^ f for i, f in m]) for m in moves):
+                    types = dict(zip(letters, [(TYPE_A, TYPE_B)[b] for b in bits]))
+                    w = Nanoword(g, types, _trusted=True)
+                    w._canon = (w.text(), 0)
+                    words.append(w)
     return sorted(words, key=shift_canonical_text)
 
 

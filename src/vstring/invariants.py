@@ -21,14 +21,21 @@ reductions (dropping an annihilating element, a core element, or a
 complementary pair) lead to a primitive based matrix, unique up to
 isomorphism, which is a homotopy invariant of the word.
 
+One stacked numpy kernel computes the tail and head matrices and the
+based-matrix pairings of any number of equal-rank words at once.
+``based_matrix`` and ``head_tail_matrices`` are its one-word case;
+``th_realizable`` and the tabulator call it once per Gauss word, over the
+words that share it.
+
 Two functions cache per word, read-only, as the suites ask for words again:
 ``n_values`` and ``primitive_based_matrix`` (which ``rho`` reads).
 ``based_matrix`` does not, because nearly all of its calls are misses of the
-primitive cache in front of it.  It and ``th_realizable`` compute the tail
-and head matrices without the checked ``HeadTailMatrices`` that
-``head_tail_matrices`` returns, and the based matrices built here skip the
-checks of ``BasedMatrix``, which they meet by construction; every pairing
-is still a read-only copy.
+primitive cache in front of it, and the tabulator, which meets each word
+once, reduces its based matrices without that cache.  Only
+``head_tail_matrices`` returns the checked ``HeadTailMatrices``; the based
+matrices built here skip the checks of ``BasedMatrix``, which they meet by
+construction, and each pairing cut from the stack is still an independent
+read-only copy.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -275,21 +283,33 @@ class HeadTailMatrices:
         )
 
 
-def _tail_head(alpha: Nanoword) -> np.ndarray:
-    """The tail and head matrices of a word, stacked, letters in name order.
+def _kernel(words: Sequence[Nanoword]) -> tuple[np.ndarray, np.ndarray]:
+    """Tail/head matrices and based-matrix pairings of equal-rank words, stacked.
 
-    Arrow i passes the end p of another arrow when
-    ``sign_i (p - first_i) (p - second_i) < 0``; at i's own ends it is 0.
+    Returns the (m, 2, k, k) stack of each word's tail and head matrices,
+    letters in name order, and the (m, k + 1, k + 1) stack of its based
+    matrix's pairing, special element first.  Arrow i passes the end p of
+    another arrow when ``sign_i (p - first_i) (p - second_i) < 0``; at i's own
+    ends it is 0.  T - H holds the letter-letter linking numbers, so the
+    border n(g) is its row sum, and the inner block is T - H + TH^t - HT^t.
     """
-    table = np.array(_arrows(alpha), dtype=np.int64).reshape(-1, 5)
-    first, second, sign = table[:, :1], table[:, 1:2], table[:, 2:3]
-    ends = table[:, 3:].T[:, None, :]  # tail ends, then head ends, as columns
-    return (sign * (ends - first) * (ends - second) < 0).astype(np.int64)
+    m, k = len(words), words[0].rank
+    table = np.array([_arrows(w) for w in words], dtype=np.int64).reshape(m, 1, k, 5)
+    first, second, sign = table[..., :1], table[..., 1:2], table[..., 2:3]
+    ends = table[..., 3:].transpose(0, 3, 1, 2)  # tail ends, then head ends, as rows
+    th = (sign * (ends - first) * (ends - second) < 0).astype(np.int64)
+    linking = th[:, 0] - th[:, 1]
+    cross = th[:, 0] @ th[:, 1].transpose(0, 2, 1)
+    pairings = np.zeros((m, k + 1, k + 1), dtype=np.int64)
+    pairings[:, 1:, 1:] = linking + cross - cross.transpose(0, 2, 1)
+    pairings[:, 1:, 0] = linking.sum(axis=2)
+    pairings[:, 0, 1:] = -pairings[:, 1:, 0]
+    return th, pairings
 
 
 def head_tail_matrices(alpha: Nanoword) -> HeadTailMatrices:
     """Tail and head matrices of a word, letters in lexicographic order."""
-    return HeadTailMatrices(alpha.letters, *_tail_head(alpha))
+    return HeadTailMatrices(alpha.letters, *_kernel([alpha])[0][0])
 
 
 #: Largest rank ``th_realizable`` searches: it tries every word of that rank.
@@ -314,16 +334,18 @@ def th_realizable(tail: np.ndarray, head: np.ndarray) -> Nanoword | None:
     # Entries 0..3 of tail + 2 head carry both matrices at once.
     target = (given.tail + 2 * given.head).tolist()
     target_keys = _line_keys(target)
-    for word in all_nanowords(k):
-        t, h = _tail_head(word)
-        rows = (t + 2 * h).tolist()
-        perm = _bijection(target, rows, target_keys, _line_keys(rows))
-        if perm is not None:
-            # Rename so row i of the requested matrices is the i-th letter
-            # of the result in lexicographic order.
-            mapping = {word.letters[perm[i]]: names[i] for i in range(k)}
-            types = {mapping[x]: word.type_of(x) for x in word.letters}
-            return Nanoword(tuple([mapping[x] for x in word.word]), types, _trusted=True)
+    # One kernel call per Gauss word, over its 2^k type maps.
+    for _, group in groupby(all_nanowords(k), key=attrgetter("word")):
+        group = list(group)
+        th = _kernel(group)[0]
+        for word, rows in zip(group, (th[:, 0] + 2 * th[:, 1]).tolist()):
+            perm = _bijection(target, rows, target_keys, _line_keys(rows))
+            if perm is not None:
+                # Rename so row i of the requested matrices is the i-th letter
+                # of the result in lexicographic order.
+                mapping = {word.letters[perm[i]]: names[i] for i in range(k)}
+                types = {mapping[x]: word.type_of(x) for x in word.letters}
+                return Nanoword(tuple([mapping[x] for x in word.word]), types, _trusted=True)
     return None
 
 
@@ -453,15 +475,15 @@ def _bordered(
     return BasedMatrix._trusted((SPECIAL, *tags), full)
 
 
-def based_matrix(alpha: Nanoword) -> BasedMatrix:
-    """Based matrix of a word: border n(g), inner block T - H + TH^t - HT^t.
+def _based_matrices(words: Sequence[Nanoword]) -> list[BasedMatrix]:
+    """The based matrices of equal-rank words, from one kernel call."""
+    pairings = _kernel(words)[1]
+    return [BasedMatrix._trusted((SPECIAL, *w.letters), p) for w, p in zip(words, pairings)]
 
-    T - H holds the letter-letter linking numbers, so n(g) is its row sum.
-    """
-    t, h = _tail_head(alpha)
-    linking = t - h
-    th = t @ h.T
-    return _bordered(alpha.letters, linking.sum(axis=1), linking + th - th.T)
+
+def based_matrix(alpha: Nanoword) -> BasedMatrix:
+    """Based matrix of a word: border n(g), inner block T - H + TH^t - HT^t."""
+    return _based_matrices([alpha])[0]
 
 
 @dataclass(frozen=True)

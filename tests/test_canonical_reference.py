@@ -194,6 +194,17 @@ def test_population_matches_reference(max_rank):
     assert canonical_population(max_rank) == ref_canonical_population(max_rank)
 
 
+def test_population_words_carry_their_keys():
+    # The population sets each key by comparing type strings, without
+    # canonicalising a typed word; a fresh copy computes it from scratch.
+    words = canonical_population(5)
+    assert len(words) == 3274
+    for w in words:
+        key = _shift_canonical_key(Nanoword(w.word, w.types(), _trusted=True))
+        assert key[1] == 0
+        assert w._canon == key
+
+
 @pytest.mark.parametrize("rank,kept", [(1, 1), (2, 2), (3, 5), (4, 18), (5, 105)])
 def test_one_gauss_word_per_rotation_class(rank, kept):
     # The counts are OEIS A007769, chord diagrams up to rotation.

@@ -247,7 +247,7 @@ class TestTabulate:
 
     def test_reingest_bit_identical(self, tmp_path, capsys):
         out = tmp_path / "t.jsonl"
-        run(capsys, "tabulate", "--max-rank", "2", "--out", str(out))
+        run(capsys, "tabulate", "--max-rank", "4", "--out", str(out))
         for line in out.read_text().splitlines():
             word = parse(json.loads(line)["canonical"])
             assert record_to_json(record_for(word)) == line

@@ -8,11 +8,15 @@ and ``th_realizable`` matches permutations with its own backtracker after a
 row/column-sum prefilter.  The library reads every one of them from one table
 of occurrence positions and arrow ends, takes the based matrix's border as
 the row sums of T - H, and ``th_realizable`` shares the backtracker of
-``bm_isomorphic``.  They must give the same weights, the same matrices and
-the same realizing word.
+``bm_isomorphic``.  One stacked kernel computes the matrices of many
+equal-rank words at once, and each based matrix cut from its stack must be
+an independent read-only copy.  They must give the same weights, the same
+matrices and the same realizing word.
 """
 
 import random
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -20,10 +24,13 @@ from hypothesis import given, settings
 
 from vstring.core import EMPTY, TYPE_A, Nanoword, fresh_names, parse
 from vstring.enumeration import all_nanowords, canonical_population, sample_nanowords
+from vstring import invariants
 from vstring.invariants import (
     SPECIAL,
     BasedMatrix,
+    _based_matrices,
     _bijection,
+    _kernel,
     _line_keys,
     based_matrix,
     cable_reduced_based_matrix,
@@ -239,6 +246,52 @@ def test_based_matrix_cables_of_rank_3_words():
 @settings(max_examples=100, deadline=None)
 def test_based_matrix_named_words(w):
     assert_based_matrix_matches_reference(w)
+
+
+def assert_kernel_matches_reference(words: list[Nanoword], monkeypatch) -> None:
+    stacks = []
+
+    def recorded(group):
+        stacks.append(_kernel(group))
+        return stacks[-1]
+
+    monkeypatch.setattr(invariants, "_kernel", recorded)
+    matrices = _based_matrices(words)
+    th, pairings = _kernel(words)
+    assert th.shape == (len(words), 2, words[0].rank, words[0].rank)
+    for w, (tail, head), m in zip(words, th, matrices):
+        expected = ref_head_tail_matrices(w)
+        assert np.array_equal(tail, expected[0]) and np.array_equal(head, expected[1]), w.text()
+        assert m == ref_based_matrix(w), w.text()
+        assert m.pairing.dtype == np.int64 and not m.pairing.flags.writeable
+        assert not np.shares_memory(m.pairing, stacks[0][1])
+    assert np.array_equal(np.stack([m.pairing for m in matrices]), pairings)
+
+
+def test_kernel_on_gauss_word_groups_of_population_rank_4(monkeypatch):
+    groups = [list(g) for _, g in groupby(canonical_population(4), key=attrgetter("word"))]
+    assert groups[0] == [EMPTY] and max(len(g) for g in groups) == 16
+    assert sum(map(len, groups)) == 246
+    for group in groups:
+        assert_kernel_matches_reference(group, monkeypatch)
+
+
+def test_kernel_on_the_empty_word(monkeypatch):
+    assert_kernel_matches_reference([EMPTY, EMPTY], monkeypatch)
+
+
+def test_kernel_on_equal_rank_cables(monkeypatch):
+    # 2-cables of rank 3 words and 3-cables of rank 2 words; a 2-cable of a
+    # rank 7 word has the rank of a 3-cable of a rank 3 word, 29.
+    population = canonical_population(3)
+    for n, rank in ((2, 3), (3, 2)):
+        assert_kernel_matches_reference(
+            [cable(w, n) for w in population if w.rank == rank], monkeypatch
+        )
+    mixed = [cable(w, 3) for w in population if w.rank == 3][:4]
+    mixed += [cable(w, 2) for w in sample_nanowords((7,), 3, 5)]
+    assert {w.rank for w in mixed} == {29}
+    assert_kernel_matches_reference(mixed, monkeypatch)
 
 
 def _internal_matrices(w: Nanoword, v: Nanoword) -> list[BasedMatrix]:
