@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import (
     TYPE_A,
@@ -60,18 +60,16 @@ def standard_gauss_words(rank: int) -> Iterator[tuple[str, ...]]:
     yield from build([], [], 0)
 
 
-def _with_all_types(words: Iterable[tuple[str, ...]], rank: int) -> Iterator[tuple]:
-    """Each standard Gauss word of the given rank with each of its 2^rank type maps."""
-    letters = sorted(fresh_names((), rank))
-    for word in words:
-        for mask in range(2 ** rank):
-            yield word, {x: TYPE_B if (mask >> i) & 1 else TYPE_A for i, x in enumerate(letters)}
-
-
 def all_nanowords(rank: int) -> Iterator[Nanoword]:
-    """Every nanoword of the given rank in standard letter names."""
-    for word, types in _with_all_types(standard_gauss_words(rank), rank):
-        yield Nanoword(word, types, _trusted=True)
+    """Every nanoword of the given rank in standard letter names.
+
+    Gauss word by Gauss word, each under its 2^rank type maps in turn.
+    """
+    letters = sorted(fresh_names((), rank))
+    for word in standard_gauss_words(rank):
+        for mask in range(2 ** rank):
+            types = {x: TYPE_B if (mask >> i) & 1 else TYPE_A for i, x in enumerate(letters)}
+            yield Nanoword(word, types, _trusted=True)
 
 
 def canonical_population(max_rank: int) -> list[Nanoword]:

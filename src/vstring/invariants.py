@@ -294,17 +294,18 @@ def _kernel(words: Sequence[Nanoword]) -> tuple[np.ndarray, np.ndarray]:
     border n(g) is its row sum, and the inner block is T - H + TH^t - HT^t.
     """
     m, k = len(words), words[0].rank
-    table = np.array([_arrows(w) for w in words], dtype=np.int64).reshape(m, 1, k, 5)
+    table = np.array([_arrows(w) for w in words], dtype=np.int64).reshape(m, k, 5)
     first, second, sign = table[..., :1], table[..., 1:2], table[..., 2:3]
-    ends = table[..., 3:].transpose(0, 3, 1, 2)  # tail ends, then head ends, as rows
+    ends = table[..., 3:].transpose(0, 2, 1).reshape(m, 1, 2 * k)  # tail ends, then head ends
     th = (sign * (ends - first) * (ends - second) < 0).astype(np.int64)
-    linking = th[:, 0] - th[:, 1]
-    cross = th[:, 0] @ th[:, 1].transpose(0, 2, 1)
+    tail, head = th[..., :k], th[..., k:]
+    linking = tail - head
+    cross = tail @ head.transpose(0, 2, 1)
     pairings = np.zeros((m, k + 1, k + 1), dtype=np.int64)
     pairings[:, 1:, 1:] = linking + cross - cross.transpose(0, 2, 1)
     pairings[:, 1:, 0] = linking.sum(axis=2)
     pairings[:, 0, 1:] = -pairings[:, 1:, 0]
-    return th, pairings
+    return th.reshape(m, k, 2, k).transpose(0, 2, 1, 3), pairings
 
 
 def head_tail_matrices(alpha: Nanoword) -> HeadTailMatrices:
