@@ -257,6 +257,7 @@ def assert_kernel_matches_reference(words: list[Nanoword], monkeypatch) -> None:
 
     monkeypatch.setattr(invariants, "_kernel", recorded)
     matrices = _based_matrices(words)
+    assert len(stacks) == 1
     th, pairings = _kernel(words)
     assert th.shape == (len(words), 2, words[0].rank, words[0].rank)
     for w, (tail, head), m in zip(words, th, matrices):
