@@ -38,6 +38,12 @@ H3, B gives H3a, C gives H3b and A gives H3c.
 Here upper-case letters stand for single letters and x, y, z, t for arbitrary
 (possibly empty) subsequences.  All values in this module are immutable and
 all operations are pure functions.
+
+Read as a diagram, each letter is an arrow between its two positions.  It
+runs from the first occurrence (its tail) to the second (its head) for type
+a, and back for type b.  ``_arrows`` gives each letter's positions and arrow
+ends, and the invariants, the cable and the search's state key all read the
+arrows this way.
 """
 
 from __future__ import annotations
@@ -386,14 +392,27 @@ def _least_rotations(word: tuple[str, ...], occ: Mapping[str, tuple[int, int]]) 
     return candidates
 
 
+def _arrows(alpha: Nanoword) -> list[tuple[int, int, int, int, int]]:
+    """(first, second, sign, tail, head) per letter in name order; sign -1 is type b."""
+    occ, tmap = alpha._occ, alpha._tmap
+    out = []
+    for x in alpha._letters:
+        first, second = occ[x]
+        if tmap[x] == TYPE_B:
+            out.append((first, second, -1, second, first))
+        else:
+            out.append((first, second, 1, first, second))
+    return out
+
+
 def _arrow_rotations(alpha: Nanoword) -> list[bytes]:
     """The rotations of the arrow sequence of ``alpha``, as bytes, rotation 0 first.
 
-    Read as a diagram, each letter is an arrow between its two positions.
-    Entry j of the sequence is ``2 * d + tail``: ``d`` is the distance
-    forward from j to the other occurrence of its letter, mod the length,
-    and ``tail`` says that j is the arrow's tail, the first occurrence of a
-    type-a letter or the second of a type-b one.  Renaming leaves the
+    The arrows are those of ``_arrows``, read here in one pass over the
+    occurrence table, since this is the search's hot state key.  Entry j of
+    the sequence is ``2 * d + tail``: ``d`` is the distance forward from j
+    to the other occurrence of its letter, mod the length, and ``tail`` says
+    that j is the arrow's tail.  Renaming leaves the
     sequence unchanged, and it determines the word up to renaming.  A shift
     rotates it by one entry: the letter carried past the base point changes
     type, so its arrow stays.  Every entry is below twice the length, so it

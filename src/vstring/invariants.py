@@ -6,9 +6,9 @@ matrix, the element-count invariant rho, based-matrix isomorphism, and the
 block formulas for based matrices of composites and cables.
 
 All of them but ``linking_number`` read one table of each letter's two
-positions and its arrow, which runs from the first occurrence to the second
-for type a and back for type b.  n(X) is the arrow tails minus the arrow
-heads strictly between the two occurrences of X, negated for type b.
+positions and its arrow, ``core._arrows`` (the core module states the arrow
+convention).  n(X) is the arrow tails minus the arrow heads strictly between
+the two occurrences of X, negated for type b.
 ``linking_number`` reads the occurrence pattern of its two letters instead,
 on purpose: it is the independent reference whose sums the tests compare
 with ``n_values``.
@@ -21,21 +21,24 @@ reductions (dropping an annihilating element, a core element, or a
 complementary pair) lead to a primitive based matrix, unique up to
 isomorphism, which is a homotopy invariant of the word.
 
-One stacked numpy kernel computes the tail and head matrices and the
-based-matrix pairings of any number of equal-rank words at once.
-``based_matrix`` and ``head_tail_matrices`` are its one-word case;
-``th_realizable`` and the tabulator call it once per Gauss word, over the
-words that share it.
+One stacked numpy kernel computes the tail and head matrices of any number
+of equal-rank words at once.  ``head_tail_matrices`` and ``based_matrix``
+are its one-word case; ``th_realizable`` and the tabulator call it once per
+Gauss word, over the words that share it, and the tabulator forms all their
+based matrices from the stack in one pass.  Every based matrix built here,
+of a word, a composite or a cable, takes its border from one rule,
+``_bordered``.
 
 Two functions cache per word, read-only, as the suites ask for words again:
 ``n_values`` and ``primitive_based_matrix`` (which ``rho`` reads).
 ``based_matrix`` does not, because nearly all of its calls are misses of the
 primitive cache in front of it, and the tabulator, which meets each word
-once, reduces its based matrices without that cache.  Only
-``head_tail_matrices`` returns the checked ``HeadTailMatrices``; the based
-matrices built here skip the checks of ``BasedMatrix``, which they meet by
-construction, and each pairing cut from the stack is still an independent
-read-only copy.
+once, reduces its based matrices without that cache.  Only the public
+constructors of ``HeadTailMatrices`` and ``BasedMatrix`` check and copy what
+they are given, and ``head_tail_matrices`` goes through the first.  The
+based matrices built here meet the checks by construction and keep the int64
+array just built for each of them, made read-only: a word's pairing is its
+own copy of its slice of the stack, so it shares memory with nothing.
 """
 
 from __future__ import annotations
@@ -52,9 +55,9 @@ import numpy as np
 
 from .core import (
     EMPTY,
-    TYPE_A,
     TYPE_B,
     Nanoword,
+    _arrows,
     fresh_names,
     shift_canonical_text,
 )
@@ -188,18 +191,6 @@ def linking_number(alpha: Nanoword, a: str, b: str) -> int:
     return -1 if same else 1
 
 
-def _arrows(alpha: Nanoword) -> list[tuple[int, int, int, int, int]]:
-    """(first, second, sign, tail, head) per letter in name order; sign -1 is type b."""
-    out = []
-    for x in alpha.letters:
-        first, second = alpha.occurrences(x)
-        if alpha.type_of(x) == TYPE_B:
-            out.append((first, second, -1, second, first))
-        else:
-            out.append((first, second, 1, first, second))
-    return out
-
-
 @lru_cache(maxsize=8192)
 def n_values(alpha: Nanoword) -> Mapping[str, int]:
     """n(X) = sum of linking numbers of X with every letter; sums to zero.
@@ -249,10 +240,9 @@ class HeadTailMatrices:
 
     ``tail[i, j]`` is 1 when, scanning cyclically from the tail of letter i's
     arrow to its head, the tail of letter j's arrow is passed; ``head``
-    likewise for the head of j's arrow.  Arrows run first-to-second occurrence
-    for type-a letters and second-to-first for type-b letters, so off the
-    diagonal ``tail[i, j] = (first_i < tail_j < second_i) XOR (i is type b)``,
-    and the diagonal is zero.  The difference
+    likewise for the head of j's arrow.  With the arrows of ``core._arrows``,
+    off the diagonal ``tail[i, j] = (first_i < tail_j < second_i) XOR (i is
+    type b)``, and the diagonal is zero.  The difference
     ``tail - head`` recovers the letter-letter linking numbers, so it is
     skew-symmetric for every word.
     """
@@ -283,34 +273,23 @@ class HeadTailMatrices:
         )
 
 
-def _kernel(words: Sequence[Nanoword]) -> tuple[np.ndarray, np.ndarray]:
-    """Tail/head matrices and based-matrix pairings of equal-rank words, stacked.
+def _kernel(words: Sequence[Nanoword]) -> np.ndarray:
+    """The (m, 2, k, k) stack of the tail and head matrices of equal-rank words.
 
-    Returns the (m, 2, k, k) stack of each word's tail and head matrices,
-    letters in name order, and the (m, k + 1, k + 1) stack of its based
-    matrix's pairing, special element first.  Arrow i passes the end p of
-    another arrow when ``sign_i (p - first_i) (p - second_i) < 0``; at i's own
-    ends it is 0.  T - H holds the letter-letter linking numbers, so the
-    border n(g) is its row sum, and the inner block is T - H + TH^t - HT^t.
+    Letters are in name order.  Arrow i passes the end p of another arrow
+    when ``sign_i (p - first_i) (p - second_i) < 0``; at i's own ends it is 0.
     """
     m, k = len(words), words[0].rank
     table = np.array([_arrows(w) for w in words], dtype=np.int64).reshape(m, k, 5)
     first, second, sign = table[..., :1], table[..., 1:2], table[..., 2:3]
     ends = table[..., 3:].transpose(0, 2, 1).reshape(m, 1, 2 * k)  # tail ends, then head ends
     th = (sign * (ends - first) * (ends - second) < 0).astype(np.int64)
-    tail, head = th[..., :k], th[..., k:]
-    linking = tail - head
-    cross = tail @ head.transpose(0, 2, 1)
-    pairings = np.zeros((m, k + 1, k + 1), dtype=np.int64)
-    pairings[:, 1:, 1:] = linking + cross - cross.transpose(0, 2, 1)
-    pairings[:, 1:, 0] = linking.sum(axis=2)
-    pairings[:, 0, 1:] = -pairings[:, 1:, 0]
-    return th.reshape(m, k, 2, k).transpose(0, 2, 1, 3), pairings
+    return th.reshape(m, k, 2, k).transpose(0, 2, 1, 3)
 
 
 def head_tail_matrices(alpha: Nanoword) -> HeadTailMatrices:
     """Tail and head matrices of a word, letters in lexicographic order."""
-    return HeadTailMatrices(alpha.letters, *_kernel([alpha])[0][0])
+    return HeadTailMatrices(alpha.letters, *_kernel([alpha])[0])
 
 
 #: Largest rank ``th_realizable`` searches: it tries every word of that rank.
@@ -338,7 +317,7 @@ def th_realizable(tail: np.ndarray, head: np.ndarray) -> Nanoword | None:
     # One kernel call per Gauss word, over its 2^k type maps.
     for _, group in groupby(all_nanowords(k), key=attrgetter("word")):
         group = list(group)
-        th = _kernel(group)[0]
+        th = _kernel(group)
         for word, rows in zip(group, (th[:, 0] + 2 * th[:, 1]).tolist()):
             perm = _bijection(target, rows, target_keys, _line_keys(rows))
             if perm is not None:
@@ -426,10 +405,15 @@ class BasedMatrix:
 
     @classmethod
     def _trusted(cls, elements: tuple[str, ...], pairing: np.ndarray) -> BasedMatrix:
-        """A build this module knows valid, unchecked; still a read-only copy."""
+        """A build this module knows valid, unchecked, and no copy.
+
+        ``pairing`` is an int64 array that the caller has just built and
+        that nothing else holds; it is kept and made read-only.
+        """
+        pairing.setflags(write=False)
         m = object.__new__(cls)
         object.__setattr__(m, "elements", elements)
-        object.__setattr__(m, "pairing", _frozen(pairing))
+        object.__setattr__(m, "pairing", pairing)
         return m
 
     @property
@@ -464,22 +448,30 @@ def _row_keys(rows: list[list[int]]) -> list[tuple[int, tuple[int, ...]]]:
     return [(row[0], tuple(sorted(row))) for row in rows[1:]]
 
 
-def _bordered(
-    tags: Sequence[str], border: np.ndarray, inner: np.ndarray
-) -> BasedMatrix:
-    """The based matrix over s and unique ``tags`` with b(g, s) = border[g]."""
-    k = len(tags)
-    full = np.zeros((k + 1, k + 1), dtype=np.int64)
-    full[1:, 1:] = inner
-    full[1:, 0] = border
-    full[0, 1:] = -full[1:, 0]
-    return BasedMatrix._trusted((SPECIAL, *tags), full)
+def _bordered(border: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """The pairing, s first, with b(g, s) = border[..., g], over any leading stack shape."""
+    k = inner.shape[-1]
+    full = np.zeros((*inner.shape[:-2], k + 1, k + 1), dtype=np.int64)
+    full[..., 1:, 1:] = inner
+    full[..., 1:, 0] = border
+    full[..., 0, 1:] = -border
+    return full
 
 
 def _based_matrices(words: Sequence[Nanoword]) -> list[BasedMatrix]:
-    """The based matrices of equal-rank words, from one kernel call."""
-    pairings = _kernel(words)[1]
-    return [BasedMatrix._trusted((SPECIAL, *w.letters), p) for w, p in zip(words, pairings)]
+    """The based matrices of equal-rank words, from one kernel call.
+
+    T - H holds the letter-letter linking numbers, so the border n(g) is its
+    row sum, and the inner block is T - H + TH^t - HT^t.
+    """
+    th = _kernel(words)
+    tail, head = th[:, 0], th[:, 1]
+    linking = tail - head
+    cross = tail @ head.transpose(0, 2, 1)
+    pairings = _bordered(linking.sum(axis=2), linking + cross - cross.transpose(0, 2, 1))
+    return [
+        BasedMatrix._trusted((SPECIAL, *w.letters), p.copy()) for w, p in zip(words, pairings)
+    ]
 
 
 def based_matrix(alpha: Nanoword) -> BasedMatrix:
@@ -620,8 +612,8 @@ def composite_based_matrix(
     na, nb = m_alpha.pairing[1:, 0], m_beta.pairing[1:, 0]
     d = np.outer(na, is_b_b) - np.outer(is_b_a, nb)
     inner = np.block([[m_alpha.pairing[1:, 1:], d], [-d.T, m_beta.pairing[1:, 1:]]])
-    tags = (*a_tags, *_unique_tags(b_tags, {SPECIAL, *a_tags}))
-    return _bordered(tags, np.concatenate([na, nb]), inner)
+    tags = (SPECIAL, *a_tags, *_unique_tags(b_tags, {SPECIAL, *a_tags}))
+    return BasedMatrix._trusted(tags, _bordered(np.concatenate([na, nb]), inner))
 
 
 def cable_reduced_based_matrix(p: BasedMatrix, n: int) -> BasedMatrix:
@@ -651,9 +643,9 @@ def cable_reduced_based_matrix(p: BasedMatrix, n: int) -> BasedMatrix:
     joins = np.outer(nx, n - 1 - np.arange(n - 1))
     inner = np.block([[copies, joins], [-joins.T, np.zeros((n - 1, n - 1), np.int64)]])
     border = np.concatenate([n * nx, np.zeros(n - 1, np.int64)])
-    tags = [f"{tag}.{a}.{b}" for tag in base for a in range(n) for b in range(n)]
+    tags = [SPECIAL] + [f"{tag}.{a}.{b}" for tag in base for a in range(n) for b in range(n)]
     tags += [f"C.{k}" for k in range(n - 1)]
-    return _bordered(tags, border, inner)
+    return BasedMatrix._trusted(tuple(tags), _bordered(border, inner))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@
 * ``compose(alpha, beta)`` concatenates after renaming beta's letters fresh;
   the result depends on the chosen base points, so it is an operation on
   words, not on virtual strings.
-* ``cable(alpha, n)`` builds the n-cable word mechanically: every letter
-  becomes an n x n block of copies and n-1 join letters close the braid.
+* ``cable(alpha, n)`` builds the n-cable word from the arrows of
+  ``core._arrows``: every letter becomes an n x n block of copies, each
+  strand reads a row of the block at the arrow's tail and a column at its
+  head, and n-1 join letters close the braid.
   Each (word, n) has one shared, immutable cable: the 1024 built last are
   cached, and ``vstring verify all --seed 7`` builds 632 of them.
 * ``r_dot(alpha, r)`` duplicates every letter occurrence into r nested
@@ -32,6 +34,7 @@ from .core import (
     TYPE_A,
     TYPE_B,
     Nanoword,
+    _arrows,
     canonical_relabel,
     relabel_disjoint,
 )
@@ -106,11 +109,16 @@ def compose(alpha: Nanoword, beta: Nanoword) -> Nanoword:
 def cable(alpha: Nanoword, n: int) -> Nanoword:
     """The n-cable word: n parallel copies of the curve joined into one.
 
-    Each letter A becomes n^2 copies A.i.j and the joins contribute letters
-    C.0 .. C.(n-2), all of type a; the rank is rank * n^2 + n - 1.  Copy
-    types: for type-a A, A.i.j is type a iff i <= j; for type-b A it is
-    type a iff j > (i-1 mod n).  No names clash (A.i.j has two more
-    dot-fields than A, C.k exactly one), so the word is built unchecked.
+    Each letter X becomes n^2 copies X.i.j and the joins contribute letters
+    C.0 .. C.(n-2), all of type a; the rank is rank * n^2 + n - 1.  Strand
+    i = 0 .. n-1 walks the word; with b = 1 when X has type b (0 otherwise),
+    it writes at X's arrow tail the row X.r.0 .. X.r.(n-1), r = (i + b) mod
+    n, and at X's head the column X.k.i for k = (b - 1 - m) mod n, m = 0 ..
+    n-1 (n-1 down to 0 for type a; 0, n-1, .., 1 for type b).  C.i follows
+    strand i < n-1, and C.(n-2) .. C.0 the last strand.  X.i.j has type a
+    iff j > t, with t = i - 1 for type a and (i - 1) mod n for type b.  No
+    names clash (X.i.j has two more dot-fields than X, C.k exactly one), so
+    the word is built unchecked.
 
     Equal (word, n) requests get one shared, immutable object (for n = 1,
     the first equal word asked for), so what is memoised on a cable (its
@@ -125,42 +133,26 @@ def cable(alpha: Nanoword, n: int) -> Nanoword:
     if n == 1:
         return alpha
 
-    def strand_copy(i: int) -> list[str]:
-        out: list[str] = []
-        for p, name in enumerate(alpha.word):
-            is_first = alpha.occurrences(name)[0] == p
-            if alpha.type_of(name) == TYPE_A:
-                if is_first:
-                    out.extend(f"{name}.{i}.{j}" for j in range(n))
-                else:
-                    out.extend(f"{name}.{k}.{i}" for k in range(n - 1, -1, -1))
-            else:
-                if is_first:
-                    out.append(f"{name}.0.{i}")
-                    out.extend(f"{name}.{k}.{i}" for k in range(n - 1, 0, -1))
-                else:
-                    nxt = (i + 1) % n
-                    out.extend(f"{name}.{nxt}.{j}" for j in range(n))
-        return out
-
+    # (name, b, whether it is the arrow's tail) at each position of the word.
+    ends = [("", 0, False)] * len(alpha.word)
+    tmap = {f"C.{k}": TYPE_A for k in range(n - 1)}
+    for x, (_, _, sign, tail, head) in zip(alpha.letters, _arrows(alpha)):
+        b = int(sign < 0)
+        ends[tail], ends[head] = (x, b, True), (x, b, False)
+        for i in range(n):
+            t = (i - 1) % n if b else i - 1
+            for j in range(n):
+                tmap[f"{x}.{i}.{j}"] = TYPE_A if j > t else TYPE_B
     word: list[str] = []
-    for i in range(n - 1):
-        word.extend(strand_copy(i))
-        word.append(f"C.{i}")
-    word.extend(strand_copy(n - 1))
-    word.extend(f"C.{k}" for k in range(n - 2, -1, -1))
-
-    tmap: dict[str, str] = {f"C.{k}": TYPE_A for k in range(n - 1)}
-    for name in alpha.letters:
-        if alpha.type_of(name) == TYPE_A:
-            for i in range(n):
-                for j in range(n):
-                    tmap[f"{name}.{i}.{j}"] = TYPE_A if i <= j else TYPE_B
-        else:
-            for i in range(n):
-                d = (i - 1) % n
-                for j in range(n):
-                    tmap[f"{name}.{i}.{j}"] = TYPE_A if j > d else TYPE_B
+    for i in range(n):
+        for x, b, is_tail in ends:
+            if is_tail:
+                word.extend([f"{x}.{(i + b) % n}.{j}" for j in range(n)])
+            else:
+                word.extend([f"{x}.{(b - 1 - m) % n}.{i}" for m in range(n)])
+        if i < n - 1:
+            word.append(f"C.{i}")
+    word.extend([f"C.{k}" for k in range(n - 2, -1, -1)])
     return Nanoword(tuple(word), tmap, _trusted=True)
 
 

@@ -7,7 +7,7 @@ r-covering, which is what the fixed-point set experiments consume.  A
 record is the JSON object it is written as, a dict, and ``record_to_json``
 only serializes it with sorted keys.  Records are streamed one Gauss-word
 group at a time, so at most 2^rank of them are held at once; ``record_for``
-builds the same record for one word.
+builds the same record for one word, as a group of one.
 """
 
 from __future__ import annotations
@@ -18,13 +18,7 @@ from itertools import chain, groupby
 from operator import attrgetter
 
 from .core import Nanoword, shift_canonical, shift_canonical_text
-from .invariants import (
-    BasedMatrix,
-    _based_matrices,
-    primitive_based_matrix,
-    reduce_to_primitive,
-    u_polynomial,
-)
+from .invariants import _based_matrices, reduce_to_primitive, u_polynomial
 from .enumeration import canonical_population
 from .ops import coverings
 from .search import oracle_class
@@ -32,28 +26,27 @@ from .search import oracle_class
 __all__ = ["record_for", "tabulation_records", "record_to_json"]
 
 
-def _record(canonical: Nanoword, primitive: BasedMatrix) -> dict:
-    """The record of a shift-canonical word with its primitive based matrix."""
-    return {
-        "canonical": shift_canonical_text(canonical),
-        "rank": canonical.rank,
-        "u": u_polynomial(canonical).coeffs,
-        "rho": primitive.size - 1,
-        "pbm_signature": primitive.signature(),
-        "covers": {str(r): shift_canonical_text(c) for r, c in coverings(canonical).items()},
-    }
-
-
 def record_for(word: Nanoword) -> dict:
     """The tabulation record of ``word``'s shift class, as its JSON object."""
-    canonical = shift_canonical(word)
-    return _record(canonical, primitive_based_matrix(canonical))
+    return _records([shift_canonical(word)])[0]
 
 
 def _records(group: list[Nanoword]) -> list[dict]:
     """The records of shift-canonical words that share one Gauss word."""
-    matrices = _based_matrices(group)
-    return [_record(w, reduce_to_primitive(m)[0]) for w, m in zip(group, matrices)]
+    records = []
+    for w, m in zip(group, _based_matrices(group)):
+        primitive = reduce_to_primitive(m)[0]
+        records.append(
+            {
+                "canonical": shift_canonical_text(w),
+                "rank": w.rank,
+                "u": u_polynomial(w).coeffs,
+                "rho": primitive.size - 1,
+                "pbm_signature": primitive.signature(),
+                "covers": {str(r): shift_canonical_text(c) for r, c in coverings(w).items()},
+            }
+        )
+    return records
 
 
 def tabulation_records(max_rank: int, *, oracle: bool = False) -> Iterator[dict]:

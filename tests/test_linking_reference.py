@@ -3,19 +3,19 @@
 The reference functions below are the straightforward forms: n(X) sums the
 pairwise linking numbers, the head and tail matrices test each arrow end for
 membership in a set of cyclic positions, the based matrix takes its border
-from ``n_values`` and its inner block from the checked head/tail matrices,
-and ``th_realizable`` matches permutations with its own backtracker after a
+from those weights and its inner block from those head/tail matrices, and
+``th_realizable`` matches permutations with its own backtracker after a
 row/column-sum prefilter.  The library reads every one of them from one table
 of occurrence positions and arrow ends, takes the based matrix's border as
 the row sums of T - H, and ``th_realizable`` shares the backtracker of
-``bm_isomorphic``.  One stacked kernel computes the matrices of many
-equal-rank words at once, and each based matrix cut from its stack must be
-an independent read-only copy.  They must give the same weights, the same
-matrices and the same realizing word.
+``bm_isomorphic``.  One stacked kernel computes the tail/head matrices of
+many equal-rank words at once, and each based matrix formed from its stack
+must keep an independent read-only pairing.  They must give the same
+weights, the same matrices and the same realizing word.
 """
 
 import random
-from itertools import groupby
+from itertools import combinations, groupby
 from operator import attrgetter
 
 import numpy as np
@@ -212,15 +212,14 @@ def test_named_words(w):
 
 
 def ref_based_matrix(alpha: Nanoword) -> BasedMatrix:
-    th = head_tail_matrices(alpha)
-    t, h = th.tail, th.head
-    nv = n_values(alpha)
-    k = len(th.order)
+    t, h = ref_head_tail_matrices(alpha)
+    nv = ref_n_values(alpha)
+    k = len(alpha.letters)
     full = np.zeros((k + 1, k + 1), dtype=np.int64)
     full[1:, 1:] = t - h + t @ h.T - h @ t.T
-    full[1:, 0] = [nv[x] for x in th.order]
+    full[1:, 0] = [nv[x] for x in alpha.letters]
     full[0, 1:] = -full[1:, 0]
-    return BasedMatrix((SPECIAL, *th.order), full)
+    return BasedMatrix((SPECIAL, *alpha.letters), full)
 
 
 def assert_based_matrix_matches_reference(w: Nanoword) -> None:
@@ -258,15 +257,18 @@ def assert_kernel_matches_reference(words: list[Nanoword], monkeypatch) -> None:
     monkeypatch.setattr(invariants, "_kernel", recorded)
     matrices = _based_matrices(words)
     assert len(stacks) == 1
-    th, pairings = _kernel(words)
+    th = _kernel(words)
     assert th.shape == (len(words), 2, words[0].rank, words[0].rank)
+    assert np.array_equal(th, stacks[0])
     for w, (tail, head), m in zip(words, th, matrices):
         expected = ref_head_tail_matrices(w)
         assert np.array_equal(tail, expected[0]) and np.array_equal(head, expected[1]), w.text()
         assert m == ref_based_matrix(w), w.text()
         assert m.pairing.dtype == np.int64 and not m.pairing.flags.writeable
-        assert not np.shares_memory(m.pairing, stacks[0][1])
-    assert np.array_equal(np.stack([m.pairing for m in matrices]), pairings)
+        # Its own memory, not a view into the stack it was formed in.
+        assert m.pairing.flags.owndata and not np.shares_memory(m.pairing, stacks[0])
+    for m1, m2 in combinations(matrices, 2):
+        assert not np.shares_memory(m1.pairing, m2.pairing)
 
 
 def test_kernel_on_gauss_word_groups_of_population_rank_4(monkeypatch):
@@ -312,6 +314,15 @@ def test_internal_pairings_read_only():
         assert not m.pairing.flags.writeable
         with pytest.raises(ValueError):
             m.pairing[0, 0] = 1
+
+
+def test_trusted_keeps_the_array_it_is_given():
+    # Its caller has just built the array, so it is kept, not copied, and
+    # made read-only.
+    a = np.array([[0, 1], [-1, 0]], dtype=np.int64)
+    m = BasedMatrix._trusted((SPECIAL, "A"), a)
+    assert m.pairing is a
+    assert not a.flags.writeable
 
 
 def test_caller_arrays_cannot_change_results():
