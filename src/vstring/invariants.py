@@ -29,11 +29,13 @@ based matrices from the stack in one pass.  Every based matrix built here,
 of a word, a composite or a cable, takes its border from one rule,
 ``_bordered``.
 
-Two functions cache per word, read-only, as the suites ask for words again:
-``n_values`` and ``primitive_based_matrix`` (which ``rho`` reads).
-``based_matrix`` does not, because nearly all of its calls are misses of the
-primitive cache in front of it, and the tabulator, which meets each word
-once, reduces its based matrices without that cache.  Only the public
+One rule decides what is cached: a caller that meets a word once computes
+its matrices directly, and the caches hold words that are asked for again.
+``n_values`` and ``primitive_based_matrix`` (which ``rho`` reads) cache per
+word, read-only, for the population words and cables that several suites
+ask for.  ``based_matrix`` does not cache, and the tabulator and the
+move-invariance suite, which meet each word once, reduce it with
+``reduce_to_primitive``.  Only the public
 constructors of ``HeadTailMatrices`` and ``BasedMatrix`` check and copy what
 they are given, and ``head_tail_matrices`` goes through the first.  The
 based matrices built here meet the checks by construction and keep the int64
@@ -679,19 +681,12 @@ def distinguish(alpha: Nanoword, beta: Nanoword, depth: int = 2) -> DistinguishR
     ua, ub = u_polynomial(alpha), u_polynomial(beta)
     if ua != ub:
         evidence.append(("u-polynomial", str(ua), str(ub)))
-    ra, rb = rho(alpha), rho(beta)
-    if ra != rb:
-        evidence.append(("rho", str(ra), str(rb)))
-    elif not evidence:
-        pa, pb = primitive_based_matrix(alpha), primitive_based_matrix(beta)
-        if not bm_isomorphic(pa, pb):
-            evidence.append(
-                (
-                    "primitive-based-matrix",
-                    str(pa.to_json()["rows"]),
-                    str(pb.to_json()["rows"]),
-                )
-            )
+    pa, pb = primitive_based_matrix(alpha), primitive_based_matrix(beta)
+    if pa.size != pb.size:
+        evidence.append(("rho", str(pa.size - 1), str(pb.size - 1)))
+    elif not evidence and not bm_isomorphic(pa, pb):
+        rows_a, rows_b = (str(m.to_json()["rows"]) for m in (pa, pb))
+        evidence.append(("primitive-based-matrix", rows_a, rows_b))
     if not evidence and depth > 0:
         # The one import up the layer order (ops imports invariants), so it
         # is made here, at call time.  distinguish stays in this module:

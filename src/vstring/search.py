@@ -92,6 +92,7 @@ __all__ = [
 ]
 
 #: Search step kinds, letter-removing first so reductions are found early.
+#: The move-invariance suite walks sites in the same order, after shifts.
 ALL_MOVES: tuple[MoveKind, ...] = RANK_DECREASING + RANK_PRESERVING + RANK_INCREASING
 
 

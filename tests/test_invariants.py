@@ -31,6 +31,7 @@ from vstring.invariants import (
     u_realizable,
 )
 from vstring.ops import cable, compose, covering, gen_alpha_n, gen_gamma_pq, r_dot
+from vstring.suites import population, suite_move_invariance
 
 from test_core import nanowords
 
@@ -225,6 +226,16 @@ class TestTHRealizable:
         before = [f.cache_info() for f in caches]
         assert th_realizable(*self.UNREALIZABLE) is None
         assert [f.cache_info() for f in caches] == before
+
+    def test_move_invariance_reduces_moved_words_uncached(self):
+        # Each moved word is met once, so only the population words are
+        # looked up in the primitive cache, once each.
+        words = population(2, 7, 0)
+        before = primitive_based_matrix.cache_info()
+        suite_move_invariance(2, 7, 0)
+        after = primitive_based_matrix.cache_info()
+        lookups = (after.hits + after.misses) - (before.hits + before.misses)
+        assert lookups == len(words)
 
     def test_cap(self):
         with pytest.raises(ValueError):
