@@ -29,13 +29,10 @@ based matrices from the stack in one pass.  Every based matrix built here,
 of a word, a composite or a cable, takes its border from one rule,
 ``_bordered``.
 
-One rule decides what is cached: a caller that meets a word once computes
-its matrices directly, and the caches hold words that are asked for again.
-``n_values`` and ``primitive_based_matrix`` (which ``rho`` reads) cache per
-word, read-only, for the population words and cables that several suites
-ask for.  ``based_matrix`` does not cache, and the tabulator and the
-move-invariance suite, which meet each word once, reduce it with
-``reduce_to_primitive``.  Only the public
+One rule decides what is cached: ``n_values`` is the one per-word cache,
+read-only, for the coverings of a word and for the words that several
+suites ask for again.  Every other invariant is computed where it is asked,
+and a caller that needs a value twice keeps it.  Only the public
 constructors of ``HeadTailMatrices`` and ``BasedMatrix`` check and copy what
 they are given, and ``head_tail_matrices`` goes through the first.  The
 based matrices built here meet the checks by construction and keep the int64
@@ -552,11 +549,9 @@ def reduce_to_primitive(
                 del row[i]
 
 
-@lru_cache(maxsize=4096)
 def primitive_based_matrix(alpha: Nanoword) -> BasedMatrix:
-    """The deterministic reduction of the word's based matrix, cached per word."""
-    m = based_matrix(alpha)
-    return reduce_to_primitive(m)[0]
+    """The deterministic reduction of the word's based matrix."""
+    return reduce_to_primitive(based_matrix(alpha))[0]
 
 
 def rho(alpha: Nanoword) -> int:
@@ -717,12 +712,14 @@ def distinguish(alpha: Nanoword, beta: Nanoword, depth: int = 2) -> DistinguishR
 
 def invariant_bundle(alpha: Nanoword) -> dict:
     """JSON-ready bundle of the standard invariants of a word."""
+    m = based_matrix(alpha)
+    primitive = reduce_to_primitive(m)[0]
     return {
         "word": alpha.text(),
         "rank": alpha.rank,
         "n_values": dict(n_values(alpha)),
         "u_polynomial": u_polynomial(alpha).pairs(),
-        "based_matrix": based_matrix(alpha).to_json(),
-        "primitive": primitive_based_matrix(alpha).to_json(),
-        "rho": rho(alpha),
+        "based_matrix": m.to_json(),
+        "primitive": primitive.to_json(),
+        "rho": primitive.size - 1,
     }

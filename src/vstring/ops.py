@@ -122,7 +122,7 @@ def cable(alpha: Nanoword, n: int) -> Nanoword:
 
     Equal (word, n) requests get one shared, immutable object (for n = 1,
     the first equal word asked for), so what is memoised on a cable (its
-    shift-canonical form) and what is cached by it (its invariants) is
+    shift-canonical form) and what is cached by it (its weights) is
     computed once.  The cache keeps the 1024 cables used last; the seven
     suites of ``vstring verify all --seed 7`` ask 3,648 times for 632
     distinct cables.  An invalid width raises on every call, since a raised

@@ -222,20 +222,29 @@ class TestTHRealizable:
         # The search's throwaway words go through no per-word cache.
         assert not hasattr(head_tail_matrices, "cache_info")
         assert not hasattr(based_matrix, "cache_info")
-        caches = (n_values, primitive_based_matrix)
+        assert not hasattr(primitive_based_matrix, "cache_info")
+        caches = (n_values,)
         before = [f.cache_info() for f in caches]
         assert th_realizable(*self.UNREALIZABLE) is None
         assert [f.cache_info() for f in caches] == before
 
-    def test_move_invariance_reduces_moved_words_uncached(self):
-        # Each moved word is met once, so only the population words are
-        # looked up in the primitive cache, once each.
+    def test_move_invariance_reduces_each_word_once(self, monkeypatch):
+        # One reduction per population word and one per moved word, and no
+        # weights: the primitives alone carry u and rho.
         words = population(2, 7, 0)
-        before = primitive_based_matrix.cache_info()
-        suite_move_invariance(2, 7, 0)
-        after = primitive_based_matrix.cache_info()
-        lookups = (after.hits + after.misses) - (before.hits + before.misses)
-        assert lookups == len(words)
+        reductions = []
+        reduce = invariants_module.reduce_to_primitive
+
+        def counting_reduce(m, **kwargs):
+            reductions.append(m)
+            return reduce(m, **kwargs)
+
+        monkeypatch.setattr(invariants_module, "reduce_to_primitive", counting_reduce)
+        before = n_values.cache_info()
+        report = suite_move_invariance(2, 7, 0)
+        after = n_values.cache_info()
+        assert len(reductions) == report.total + len(words) == 334
+        assert after.hits + after.misses == before.hits + before.misses
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -408,23 +417,30 @@ class TestRho:
         assert rho(gen_alpha_n(n)) == n
 
 
-class TestPrimitiveCache:
-    def test_second_call_same_object(self):
+class TestPrimitive:
+    def test_second_call_equal_unshared(self):
         w = parse("ABCACB|aaa")
-        assert primitive_based_matrix(w) is primitive_based_matrix(w)
+        p, q = primitive_based_matrix(w), primitive_based_matrix(w)
+        assert p == q
+        assert not np.shares_memory(p.pairing, q.pairing)
 
     def test_pairing_read_only(self):
         p = primitive_based_matrix(parse("ABABCDCD|aaaa"))
         with pytest.raises(ValueError):
             p.pairing[0, 1] = 5
 
-    def test_rho_is_one_cache_hit(self):
-        w = parse("ABCBDCAD|aabb")
-        primitive_based_matrix(w)
-        before = primitive_based_matrix.cache_info()
-        rho(w)
-        after = primitive_based_matrix.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    def test_u_is_read_off_the_primitive(self):
+        # Each reduction step drops a weight 0 or a pair of weights k and
+        # -k, so the signed counts of the primitive's border are u.
+        words = list(canonical_population(5))
+        words += [cable(w, n) for w in canonical_population(2) for n in (2, 3)]
+        assert len(words) == 3286
+        for w in words:
+            counts: dict[int, int] = {}
+            for v in primitive_based_matrix(w).pairing[1:, 0].tolist():
+                if v:
+                    counts[abs(v)] = counts.get(abs(v), 0) + (1 if v > 0 else -1)
+            assert UPolynomial.from_dict(counts) == u_polynomial(w), w
 
 
 class TestBmIsomorphic:
