@@ -649,7 +649,8 @@ def find_sites(
     holds the other occurrences of both.  In an H3-family site, A is one of
     the two and B the other; the second pair holds A's other occurrence and
     a letter C, and the third pair the other occurrences of B and C.  Each
-    candidate is then classified by the same rule as ``apply_move`` uses.
+    candidate of that many pairs is classified once, by the same rule as
+    ``apply_move`` uses, into the site list of its kind (``_pair_sites``).
     """
     n = len(alpha.word)
     sites: Iterable[MoveSite]
@@ -669,12 +670,18 @@ def find_sites(
             for ts in ((TYPE_A, TYPE_B), (TYPE_B, TYPE_A))
         )
     else:
-        sites = (
-            MoveSite(kind, positions)
-            for positions in _pair_candidates(alpha, _PAIR_COUNT[kind])
-            if _site_kind(alpha, positions) is kind
-        )
+        sites = _pair_sites(alpha, _PAIR_COUNT[kind])[kind]
     return list(itertools.islice(sites, max_sites))
+
+
+def _pair_sites(alpha: Nanoword, m: int) -> dict[MoveKind, list[MoveSite]]:
+    """The sites of every kind made of ``m`` pairs, each kind's in position order."""
+    sites: dict[MoveKind, list[MoveSite]] = {k: [] for k, c in _PAIR_COUNT.items() if c == m}
+    for positions in _pair_candidates(alpha, m):
+        kind = _site_kind(alpha, positions)
+        if kind is not None:
+            sites[kind].append(MoveSite(kind, positions))
+    return sites
 
 
 def _pick_fresh(alpha: Nanoword, site: MoveSite, count: int) -> tuple[str, ...]:

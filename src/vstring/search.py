@@ -15,6 +15,14 @@ rank.  Every result carries a replayable move trace, so a "homotopic"
 answer is a checkable certificate, and "distinct" answers delegate to the
 invariant comparison, so the two can never both hold.
 
+A state stores no word: its node holds the rank of its word, the key of its
+parent and the sites that lead from the parent's word to its own.
+``apply_move`` is deterministic, so those sites fix the word, and
+``_Frontier.trace(key).end()`` replays it, in at most ``max_depth`` moves,
+only where a word is read: the state being expanded, the lowest-rank states
+``reduce_bounded`` orders by printed text, and the shared states
+``equivalent_bounded`` orders and joins at.
+
 A state's successors come from two rotations of its word w, not from the
 whole shift orbit.  Say w has length n.  A site of rotation j is a set of
 letter pairs or insertion slots at cyclic places of w.  Unless one of its
@@ -64,6 +72,7 @@ from .core import (
     RANK_INCREASING,
     RANK_PRESERVING,
     _arrow_key,
+    _pair_sites,
     _shift_period,
     apply_move,
     find_sites,
@@ -131,8 +140,9 @@ ORACLE_BUDGET = SearchBudget(1, 2000, 32)
 
 @dataclass
 class _Node:
-    word: Nanoword          # concrete word reached (trace target)
-    parent: bytes | None    # key of the parent state
+    # No word: the parent's key and the steps fix it (``_Frontier.trace``).
+    rank: int                    # rank of the state's word
+    parent: bytes | None         # key of the parent state
     steps: tuple[MoveSite, ...]  # sites leading from the parent's word here
 
 
@@ -148,7 +158,7 @@ class _Frontier:
         self.budget = budget
         self.rank_cap = start.rank + budget.max_rank_increase
         key = _arrow_key(start)
-        self.nodes: dict[bytes, _Node] = {key: _Node(start, None, ())}
+        self.nodes: dict[bytes, _Node] = {key: _Node(start.rank, None, ())}
         self.heap: list[tuple[int, int, int, bytes]] = [(start.rank, 0, 0, key)]
 
     def expand_one(self, shared_states: int) -> list[bytes] | None:
@@ -163,14 +173,14 @@ class _Frontier:
         if depth >= self.budget.max_depth:
             return []
         new_keys: list[bytes] = []
-        for steps, word in self._successors(self.nodes[key].word):
+        for steps, word in self._successors(self.trace(key).end()):
             if len(self.nodes) + shared_states >= self.budget.max_states:
                 break
             nkey = _arrow_key(word)
             if nkey in self.nodes:
                 continue
             heapq.heappush(self.heap, (word.rank, depth + 1, len(self.nodes), nkey))
-            self.nodes[nkey] = _Node(word, key, steps)
+            self.nodes[nkey] = _Node(word.rank, key, steps)
             new_keys.append(nkey)
         return new_keys
 
@@ -187,24 +197,31 @@ class _Frontier:
         slots = max(n, 1)
         for j, rotated in enumerate((word, shift(word))):
             prefix = (MoveSite(MoveKind.SHIFT),) * j
+            # Each pair candidate is classified once, for all of its kinds.
+            pairs = {k: s for m in (1, 2, 3) for k, s in _pair_sites(rotated, m).items()}
             for kind in ALL_MOVES:
                 adding = kind in RANK_INCREASING
                 if adding and (j or not adds):
                     continue
-                for site in find_sites(rotated, kind):
+                for site in find_sites(rotated, kind) if adding else pairs[kind]:
                     first, last = site.positions[0], site.positions[-1]
                     if (first < period and last < slots) if adding else (not j or last == n - 1):
                         yield prefix + (site,), apply_move(rotated, site)
 
-    def trace_steps(self, key: bytes) -> list[MoveSite]:
-        """The sites from the start word to the word of state ``key``."""
+    def trace(self, key: bytes) -> MoveTrace:
+        """The trace from the start word to state ``key``; its end is the state's word.
+
+        The word is stored nowhere: ``trace(key).end()`` replays the sites,
+        and ``apply_move`` is deterministic, so it is the word the search
+        reached, letter for letter.
+        """
         steps: list[MoveSite] = []
         k: bytes | None = key
         while k is not None:
             node = self.nodes[k]
             steps[:0] = node.steps
             k = node.parent
-        return steps
+        return MoveTrace(self.start, tuple(steps))
 
 
 def reduce_bounded(
@@ -219,11 +236,10 @@ def reduce_bounded(
     while frontier.expand_one(0) is not None:
         if _arrow_key(EMPTY) in frontier.nodes:  # the one rank-0 state
             break
-    nodes = frontier.nodes
-    low = min(node.word.rank for node in nodes.values())
-    _, key = min((shift_canonical_text(n.word), k) for k, n in nodes.items() if n.word.rank == low)
-    trace = MoveTrace(alpha, tuple(frontier.trace_steps(key)))
-    return nodes[key].word, trace
+    low = min(node.rank for node in frontier.nodes.values())
+    lows = [frontier.trace(k) for k, node in frontier.nodes.items() if node.rank == low]
+    trace = min(lows, key=lambda t: shift_canonical_text(t.end()))
+    return trace.end(), trace
 
 
 def oracle_class(word: Nanoword) -> Nanoword:
@@ -262,15 +278,14 @@ def _join_traces(fa: _Frontier, fb: _Frontier, key: bytes) -> MoveTrace:
     kb`` shifts, or ``kb - ka`` inverse shifts when ``kb > ka``; then the
     inverted second path, which replays verbatim on the first side's word.
     """
-    ka = shifts_to_canonical(fa.nodes[key].word)
-    kb = shifts_to_canonical(fb.nodes[key].word)
-    net = [MoveSite(MoveKind.SHIFT if ka > kb else MoveKind.SHIFT_INV)] * abs(ka - kb)
+    ta, tb = fa.trace(key), fb.trace(key)
+    ka, kb = shifts_to_canonical(ta.end()), shifts_to_canonical(tb.end())
+    net = (MoveSite(MoveKind.SHIFT if ka > kb else MoveKind.SHIFT_INV),) * abs(ka - kb)
     # The inverted second-side steps replay on the first side's word, which
     # is only isomorphic to the second side's; drop recorded letter names so
     # letter-adding steps pick fresh ones instead of clashing.
-    back = invert_steps(fb.start, fb.trace_steps(key))
-    steps = fa.trace_steps(key) + net + [replace(site, letters=()) for site in back]
-    trace = MoveTrace(fa.start, tuple(steps))
+    back = tuple(replace(site, letters=()) for site in invert_steps(fb.start, tb.steps))
+    trace = MoveTrace(fa.start, ta.steps + net + back)
     if not isomorphic(trace.end(), fb.start):
         raise AssertionError("search produced an invalid equivalence trace")
     return trace
@@ -305,8 +320,8 @@ def equivalent_bounded(
                 break
         if not progressed:
             return EquivalenceResult("unknown", report=report)
-    trace = _join_traces(fa, fb, min(common, key=lambda k: shift_canonical_text(fa.nodes[k].word)))
-    return EquivalenceResult("homotopic", trace=trace)
+    key = min(common, key=lambda k: shift_canonical_text(fa.trace(k).end()))
+    return EquivalenceResult("homotopic", trace=_join_traces(fa, fb, key))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Each suite runs a theorem or invariance statement over a reproducible word
 population: every shift-canonical word of rank <= ``max_rank`` (all type
-assignments) plus ``sample`` random words at ranks 4-5 drawn with ``seed``.
+assignments), then the words of rank above ``max_rank`` among ``sample``
+random words at ranks 4-5 drawn with ``seed``, so no word appears twice.
 Suites report instance counts and the first few failures; they are used both
 by the command-line ``verify`` subcommand and by the acceptance tests.  The
 three settings have no defaults here: ``verify`` states them once.
@@ -79,14 +80,15 @@ class SuiteReport:
 
 @lru_cache(maxsize=8)
 def population(max_rank: int, seed: int, sample: int, /) -> tuple[Nanoword, ...]:
-    """Exhaustive words up to ``max_rank`` plus a fixed-seed rank 4-5 sample.
+    """Exhaustive words up to ``max_rank``, then a fixed-seed sample's words above it.
 
-    One shared tuple per setting: the three arguments are required and
+    The sample draws ranks 4-5; its words of rank ``max_rank`` or less are
+    already in the exhaustive part, so only those above are added.  One
+    shared tuple per setting: the three arguments are required and
     positional, so the cache sees each setting spelled one way only.
     """
     words = canonical_population(max_rank)
-    if sample:
-        words += sample_nanowords((4, 5), sample, seed)
+    words += [w for w in sample_nanowords((4, 5), sample, seed) if w.rank > max_rank]
     return tuple(words)
 
 

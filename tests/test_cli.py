@@ -206,6 +206,16 @@ class TestVerify:
         assert report.passed == 0 and len(report.failures) == 20
         assert report.failures[0] == f"{word.text()} under {site}"
 
+    def test_population_holds_each_word_once(self):
+        # The sample draws ranks 4-5, so at rank 4 only its rank-5 words are new.
+        import vstring.suites as suites
+        from vstring.enumeration import sample_nanowords
+
+        words = suites.population(4, 7, 200)
+        sampled = [w for w in sample_nanowords((4, 5), 200, 7) if w.rank == 5]
+        assert len(set(words)) == len(words) == 355
+        assert list(words) == canonical_population(4) + sampled
+
     def test_cable_failure_labels_name_word_n_and_r(self, monkeypatch):
         import vstring.suites as suites
 

@@ -1,12 +1,16 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partialmethod
+from pathlib import Path
 
 import pytest
 
+from vstring.cli import main
 from vstring.core import (
     EMPTY,
     MoveKind,
     MoveSite,
+    Nanoword,
+    _arrow_key,
     apply_move,
     canonical_relabel,
     find_sites,
@@ -41,6 +45,8 @@ from vstring.tabulate import record_for, record_to_json, tabulation_records
 
 from test_search_reference import ref_successors
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def record_states(monkeypatch):
     """The states held by all frontiers at each call of ``_Frontier._successors``."""
@@ -56,6 +62,27 @@ def record_states(monkeypatch):
 
     monkeypatch.setattr(_Frontier, "_successors", recorded)
     return totals
+
+
+def record_yielded(monkeypatch):
+    """Per frontier, the first word ``_successors`` yields for each key it lacks.
+
+    That is the word the frontier stores the key for, unless the state cap
+    stops the expansion there, and then the frontier stores no more keys.
+    """
+    successors = _Frontier._successors
+    yielded = {}
+
+    def recorded(self, word):
+        first = yielded.setdefault(self, {})
+        for steps, result in successors(self, word):
+            key = _arrow_key(result)
+            if key not in self.nodes:
+                first.setdefault(key, result)
+            yield steps, result
+
+    monkeypatch.setattr(_Frontier, "_successors", recorded)
+    return yielded
 
 
 class TestEnumeration:
@@ -98,9 +125,43 @@ class TestSearchBudget:
         frontier = _Frontier(parse("ABAB|ab"), SearchBudget(1, 2000, 32))
         while frontier.expand_one(0) is not None:
             pass
-        ranks = [node.word.rank for node in frontier.nodes.values()]
+        ranks = [node.rank for node in frontier.nodes.values()]
         assert frontier.rank_cap == 3
         assert max(ranks) == frontier.rank_cap + 1
+
+
+class TestWordFreeNodes:
+    """A node holds no word; replaying its trace gives the word the search reached."""
+
+    def test_replayed_word_is_the_yielded_word(self, monkeypatch):
+        yielded = record_yielded(monkeypatch)
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from workloads import search_queries
+
+        assert [main(args) for _, args, _ in search_queries(11)] == [0] * 9
+        for word in canonical_population(2):
+            reduce_bounded(word, SearchBudget(1, 200, 16))
+        stored = 0
+        for frontier, first in yielded.items():
+            for key, node in frontier.nodes.items():
+                replayed = frontier.trace(key).end()
+                if node.parent is None:
+                    assert replayed is frontier.start
+                    continue
+                word = first[key]
+                assert replayed.word == word.word and replayed.types() == word.types()
+                assert node.rank == word.rank
+                stored += 1
+        assert stored > 1000
+
+    def test_nodes_hold_no_word(self, monkeypatch):
+        yielded = record_yielded(monkeypatch)
+        assert main(["reduce", "ABCBDCAD|aabb", "--budget", "2,1000,64"]) == 0
+        (frontier,) = yielded
+        assert len(frontier.nodes) > 1
+        for node in frontier.nodes.values():
+            for field in fields(node):
+                assert not isinstance(getattr(node, field.name), Nanoword), field.name
 
 
 class TestReduceBounded:
@@ -226,8 +287,8 @@ def ref_join_steps(fa, fb, key):
     pairs are then cancelled wherever they stand.
     """
     shift_site = MoveSite(MoveKind.SHIFT)
-    full_a = fa.trace_steps(key) + [shift_site] * shifts_to_canonical(fa.nodes[key].word)
-    full_b = fb.trace_steps(key) + [shift_site] * shifts_to_canonical(fb.nodes[key].word)
+    full_a = list(fa.trace(key).steps) + [shift_site] * shifts_to_canonical(fa.trace(key).end())
+    full_b = list(fb.trace(key).steps) + [shift_site] * shifts_to_canonical(fb.trace(key).end())
     back = [replace(site, letters=()) for site in invert_steps(fb.start, full_b)]
     out = []
     for site in full_a + back:
@@ -252,8 +313,8 @@ class TestJoinTraces:
             for before, after in zip(steps, steps[1:]):
                 assert {before.kind, after.kind} != SHIFTS, (fa.start.text(), fb.start.text())
             nets.append(
-                shifts_to_canonical(fa.nodes[key].word)
-                - shifts_to_canonical(fb.nodes[key].word)
+                shifts_to_canonical(fa.trace(key).end())
+                - shifts_to_canonical(fb.trace(key).end())
             )
             return trace
 
@@ -271,7 +332,7 @@ class TestJoinTraces:
         def checked(fa, fb, key):
             shared = [k for k in fa.nodes if k in fb.nodes]
             shared_counts.append(len(shared))
-            assert key == min(shared, key=lambda k: shift_canonical_text(fa.nodes[k].word))
+            assert key == min(shared, key=lambda k: shift_canonical_text(fa.trace(k).end()))
             return _join_traces(fa, fb, key)
 
         monkeypatch.setattr("vstring.search._join_traces", checked)
