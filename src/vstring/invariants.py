@@ -23,9 +23,13 @@ isomorphism, which is a homotopy invariant of the word.
 
 One stacked numpy kernel computes the tail and head matrices of any number
 of equal-rank words at once.  ``head_tail_matrices`` and ``based_matrix``
-are its one-word case; ``th_realizable`` and the tabulator call it once per
-Gauss word, over the words that share it, and the tabulator forms all their
-based matrices from the stack in one pass.  Every based matrix built here,
+are its one-word case, and ``th_realizable`` calls it once per Gauss word,
+over the words that share it.  ``_primitives`` is the one path from words
+to primitive based matrices: it groups any list of words by rank, forms each
+rank's based matrices from one stack, and reduces each.  Move-invariance
+calls it once per population word with all its moved words, the tabulator
+once per Gauss-word group, and ``primitive_based_matrix`` and
+``distinguish`` on their one or two words.  Every based matrix built here,
 of a word, a composite or a cable, takes its border from one rule,
 ``_bordered``.
 
@@ -549,9 +553,25 @@ def reduce_to_primitive(
                 del row[i]
 
 
+def _primitives(words: Sequence[Nanoword]) -> list[BasedMatrix]:
+    """The primitive based matrices of any words, in order: one kernel call per rank.
+
+    Each rank's words go to one ``_based_matrices`` call, and each matrix
+    gets the deterministic reduction, ``reduce_to_primitive`` without rng.
+    """
+    by_rank: dict[int, list[Nanoword]] = {}
+    for w in words:
+        by_rank.setdefault(w.rank, []).append(w)
+    reduced = {
+        rank: iter([reduce_to_primitive(m)[0] for m in _based_matrices(group)])
+        for rank, group in by_rank.items()
+    }
+    return [next(reduced[w.rank]) for w in words]
+
+
 def primitive_based_matrix(alpha: Nanoword) -> BasedMatrix:
     """The deterministic reduction of the word's based matrix."""
-    return reduce_to_primitive(based_matrix(alpha))[0]
+    return _primitives([alpha])[0]
 
 
 def rho(alpha: Nanoword) -> int:
@@ -676,7 +696,7 @@ def distinguish(alpha: Nanoword, beta: Nanoword, depth: int = 2) -> DistinguishR
     ua, ub = u_polynomial(alpha), u_polynomial(beta)
     if ua != ub:
         evidence.append(("u-polynomial", str(ua), str(ub)))
-    pa, pb = primitive_based_matrix(alpha), primitive_based_matrix(beta)
+    pa, pb = _primitives([alpha, beta])
     if pa.size != pb.size:
         evidence.append(("rho", str(pa.size - 1), str(pb.size - 1)))
     elif not evidence and not bm_isomorphic(pa, pb):

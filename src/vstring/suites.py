@@ -33,11 +33,11 @@ from .core import (
 )
 from .enumeration import canonical_population, sample_nanowords
 from .invariants import (
+    _primitives,
     based_matrix,
     bm_isomorphic,
     composite_based_matrix,
     n_values,
-    primitive_based_matrix,
     reduce_to_primitive,
     rho,
     u_polynomial,
@@ -48,8 +48,9 @@ from .search import ALL_MOVES
 
 __all__ = ["SuiteReport", "SUITES", "run_suite", "population"]
 
-#: Cap on letter-adding sites per kind for the rank 4-5 sample in the
-#: move-invariance suite (the rank <= 3 population is enumerated in full).
+#: Cap on letter-adding sites per kind for the sample's words above
+#: ``max_rank`` in the move-invariance suite (the words of rank <=
+#: ``max_rank`` get every site).
 _ADD_SITE_CAP = 6
 
 
@@ -106,13 +107,15 @@ def suite_move_invariance(max_rank: int, seed: int, sample: int) -> SuiteReport:
     never isomorphic.  Each reduction step drops an element of weight 0 or a
     pair of weights k and -k, so the signed counts of the primitive's border
     b(g, s) are the word's u; an isomorphism fixes s and so keeps the border.
+    A word and its moved words get their primitives from one ``_primitives``
+    call, so from one kernel call per rank among them.
     """
     report = SuiteReport("move-invariance")
     for word in population(max_rank, seed, sample):
         cap = None if word.rank <= max_rank else _ADD_SITE_CAP
-        p0 = primitive_based_matrix(word)
-        for site in _applicable_sites(word, cap):
-            p = primitive_based_matrix(apply_move(word, site))
+        sites = list(_applicable_sites(word, cap))
+        p0, *moved = _primitives([word, *(apply_move(word, s) for s in sites)])
+        for site, p in zip(sites, moved):
             report.check(bm_isomorphic(p, p0), "%s under %s", word, site)
     return report
 

@@ -18,7 +18,7 @@ from itertools import chain, groupby
 from operator import attrgetter
 
 from .core import Nanoword, shift_canonical, shift_canonical_text
-from .invariants import _based_matrices, reduce_to_primitive, u_polynomial
+from .invariants import _primitives, u_polynomial
 from .enumeration import canonical_population
 from .ops import coverings
 from .search import oracle_class
@@ -34,8 +34,7 @@ def record_for(word: Nanoword) -> dict:
 def _records(group: list[Nanoword]) -> list[dict]:
     """The records of shift-canonical words that share one Gauss word."""
     records = []
-    for w, m in zip(group, _based_matrices(group)):
-        primitive = reduce_to_primitive(m)[0]
+    for w, primitive in zip(group, _primitives(group)):
         records.append(
             {
                 "canonical": shift_canonical_text(w),

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vstring.core import EMPTY, Nanoword, canonical_relabel, parse, shift, shift_canonical_text
+from vstring.core import (
+    EMPTY,
+    Nanoword,
+    apply_move,
+    canonical_relabel,
+    parse,
+    shift,
+    shift_canonical_text,
+)
 from vstring.enumeration import all_nanowords, canonical_population
 import vstring.invariants as invariants_module
 from vstring.invariants import (
@@ -31,7 +39,7 @@ from vstring.invariants import (
     u_realizable,
 )
 from vstring.ops import cable, compose, covering, gen_alpha_n, gen_gamma_pq, r_dot
-from vstring.suites import population, suite_move_invariance
+from vstring.suites import _applicable_sites, population, suite_move_invariance
 
 from test_core import nanowords
 
@@ -245,6 +253,25 @@ class TestTHRealizable:
         after = n_values.cache_info()
         assert len(reductions) == report.total + len(words) == 334
         assert after.hits + after.misses == before.hits + before.misses
+
+    def test_move_invariance_one_kernel_call_per_rank(self, monkeypatch):
+        # Each population word and its moved words get their based matrices
+        # from one kernel call per rank among them.
+        expected = 0
+        for word in population(2, 7, 0):
+            moved = [apply_move(word, s) for s in _applicable_sites(word, None)]
+            expected += len({w.rank for w in (word, *moved)})
+        calls = []
+        kernel = invariants_module._kernel
+
+        def counting_kernel(words):
+            calls.append(len(words))
+            return kernel(words)
+
+        monkeypatch.setattr(invariants_module, "_kernel", counting_kernel)
+        report = suite_move_invariance(2, 7, 0)
+        assert len(calls) == expected == 22
+        assert sum(calls) == report.total + len(population(2, 7, 0))
 
     def test_cap(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,9 @@ of occurrence positions and arrow ends, takes the based matrix's border as
 the row sums of T - H, and ``th_realizable`` shares the backtracker of
 ``bm_isomorphic``.  One stacked kernel computes the tail/head matrices of
 many equal-rank words at once, and each based matrix formed from its stack
-must keep an independent read-only pairing.  They must give the same
+must keep an independent read-only pairing.  ``_primitives`` builds the
+primitives of any list of words with one kernel call per rank; it must give
+what building and reducing each word alone gives.  They must give the same
 weights, the same matrices and the same realizing word.
 """
 
@@ -20,7 +22,7 @@ from operator import attrgetter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from vstring.core import EMPTY, TYPE_A, Nanoword, fresh_names, parse
 from vstring.enumeration import all_nanowords, canonical_population, sample_nanowords
@@ -32,6 +34,7 @@ from vstring.invariants import (
     _bijection,
     _kernel,
     _line_keys,
+    _primitives,
     based_matrix,
     cable_reduced_based_matrix,
     composite_based_matrix,
@@ -295,6 +298,38 @@ def test_kernel_on_equal_rank_cables(monkeypatch):
     mixed += [cable(w, 2) for w in sample_nanowords((7,), 3, 5)]
     assert {w.rank for w in mixed} == {29}
     assert_kernel_matches_reference(mixed, monkeypatch)
+
+
+def assert_primitives_match_per_word(words: list[Nanoword]) -> None:
+    # The bulk path against the one-word path: build, then reduce, each word.
+    primitives = _primitives(words)
+    assert len(primitives) == len(words)
+    for w, p in zip(words, primitives):
+        expected = reduce_to_primitive(based_matrix(w))[0]
+        assert p.elements == expected.elements, w.text()
+        assert p.pairing.tolist() == expected.pairing.tolist(), w.text()
+        assert p.pairing.dtype == np.int64 and not p.pairing.flags.writeable
+    for p, q in combinations(primitives, 2):
+        assert not np.shares_memory(p.pairing, q.pairing)
+
+
+def test_primitives_of_shuffled_population_rank_4():
+    words = canonical_population(4)
+    random.Random(32).shuffle(words)
+    assert len({w.rank for w in words[:20]}) > 1
+    assert_primitives_match_per_word(words)
+
+
+def test_primitives_of_empty_and_repeated_words():
+    w = parse("ABCACB|aaa")
+    assert_primitives_match_per_word([EMPTY, w, EMPTY, w, parse("ABAB|ab")])
+    assert _primitives([]) == []
+
+
+@given(st.lists(named_nanowords(max_rank=6), max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_primitives_named_words(words):
+    assert_primitives_match_per_word(words)
 
 
 def _internal_matrices(w: Nanoword, v: Nanoword) -> list[BasedMatrix]:
