@@ -18,7 +18,8 @@ the arguments only: ``reduce`` and ``equiv`` search with ``--budget``
 code 1 before any work: ``cable``, ``rdot``, ``preimage`` and ``gen``
 results above rank ``MAX_WORD_RANK``, ``compute`` words above rank
 ``MAX_MATRIX_RANK`` = 1000, ``reduce`` and ``equiv`` words above rank
-``MAX_SEARCH_RANK`` = 32, ``--max-rank`` above ``MAX_TABULATE_RANK`` = 6
+``MAX_SEARCH_RANK`` = 32 or a ``--budget`` of more than ``MAX_SEARCH_STATES``
+= 1,000,000 states, ``--max-rank`` above ``MAX_TABULATE_RANK`` = 6
 (``tabulate``, ``graph``), ``MAX_ORACLE_RANK`` = 3 (``tabulate --oracle``)
 or ``MAX_VERIFY_RANK`` = 4 (``verify``), and a ``verify --sample`` below 0
 or above ``MAX_VERIFY_SAMPLE``.
@@ -52,6 +53,10 @@ MAX_MATRIX_RANK = 1000
 #: sites, each of which builds and keys a word of length about 2k, and a
 #: search makes many.
 MAX_SEARCH_RANK = 32
+#: Largest ``--budget`` state cap of ``reduce`` and ``equiv``, 5x the default.
+#: A stored state takes about 0.6 KB: a 100,000-state search from a rank-8 or
+#: rank-16 word peaked at 90 MB, so this cap means about 0.64 GB.
+MAX_SEARCH_STATES = 1_000_000
 #: Largest ``--max-rank`` that ``tabulate`` and ``graph`` will enumerate;
 #: the raw word count grows factorially with the rank.
 MAX_TABULATE_RANK = 6
@@ -73,7 +78,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budget(text: str | None) -> SearchBudget:
-    return DEFAULT_BUDGET if text is None else SearchBudget.parse(text)
+    budget = DEFAULT_BUDGET if text is None else SearchBudget.parse(text)
+    _check_size("--budget max_states", budget.max_states, MAX_SEARCH_STATES)
+    return budget
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -54,7 +54,7 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "TYPE_A",
@@ -519,6 +519,9 @@ RANK_PRESERVING = (MoveKind.H3, MoveKind.H3A, MoveKind.H3B, MoveKind.H3C)
 RANK_DECREASING = (MoveKind.H1_DOWN, MoveKind.H2_DOWN, MoveKind.H2A_DOWN)
 #: Letter-adding directions (infinite-branching under iteration; cap in search).
 RANK_INCREASING = (MoveKind.H1_UP, MoveKind.H2_UP, MoveKind.H2A_UP)
+#: The one kind order, letter-removing first so the search finds reductions
+#: early.  ``_sites`` walks it for the search and the move-invariance suite.
+ALL_MOVES = RANK_DECREASING + RANK_PRESERVING + RANK_INCREASING
 
 
 @dataclass(frozen=True)
@@ -651,6 +654,9 @@ def find_sites(
     a letter C, and the third pair the other occurrences of B and C.  Each
     candidate of that many pairs is classified once, by the same rule as
     ``apply_move`` uses, into the site list of its kind (``_pair_sites``).
+
+    This lists one kind.  ``_sites`` is the one walk over all the kinds of a
+    word, which the search and the move-invariance suite both take.
     """
     n = len(alpha.word)
     sites: Iterable[MoveSite]
@@ -672,6 +678,17 @@ def find_sites(
     else:
         sites = _pair_sites(alpha, _PAIR_COUNT[kind])[kind]
     return list(itertools.islice(sites, max_sites))
+
+
+def _sites(alpha: Nanoword, add_cap: int | None) -> Iterator[MoveSite]:
+    """Every site of ``alpha`` but the shifts, kind by kind in ``ALL_MOVES`` order.
+
+    Each pair candidate is classified once, for all of its kinds.  Each
+    letter-adding kind lists at most ``add_cap`` sites, or all with None.
+    """
+    pairs = {k: s for m in (1, 2, 3) for k, s in _pair_sites(alpha, m).items()}
+    for kind in ALL_MOVES:
+        yield from pairs[kind] if kind in pairs else find_sites(alpha, kind, max_sites=add_cap)
 
 
 def _pair_sites(alpha: Nanoword, m: int) -> dict[MoveKind, list[MoveSite]]:
@@ -808,14 +825,8 @@ class MoveTrace:
 
 def invert_steps(start: Nanoword, steps: Sequence[MoveSite]) -> list[MoveSite]:
     """Sites undoing ``steps``: replaying them from the end word returns to ``start``."""
-    current = start
-    inverted: list[MoveSite] = []
-    for site in steps:
-        nxt = apply_move(current, site)
-        inverted.append(_invert_one(current, site))
-        current = nxt
-    inverted.reverse()
-    return inverted
+    words = MoveTrace(start, tuple(steps)).replay()
+    return [_invert_one(before, site) for before, site in zip(words, steps)][::-1]
 
 
 #: Each letter-removing kind and shift with its inverse, in both directions;

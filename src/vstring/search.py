@@ -35,7 +35,9 @@ places that is not adjacent in w is (n-1, 0), across its base point.
 Rotation 1 makes it adjacent, as its last pair (n-2, n-1), and a site of a
 later rotation that uses it is a site of rotation 1 as well.  So the search
 applies every site of w and, from ``shift(w)``, only the letter-removing
-and H3-family sites whose last pair is (n-2, n-1).
+and H3-family sites whose last pair is (n-2, n-1).  Both rotations' sites
+come from ``core._sites``, the one walk over a word's sites, which the
+move-invariance suite takes too; it lists letter-adding sites for w only.
 
 Of the letter-adding sites of w, those that repeat the state of an earlier
 site of w are skipped; the first site to reach each state is unchanged.
@@ -68,14 +70,11 @@ from .core import (
     MoveSite,
     MoveTrace,
     Nanoword,
-    RANK_DECREASING,
     RANK_INCREASING,
-    RANK_PRESERVING,
     _arrow_key,
-    _pair_sites,
     _shift_period,
+    _sites,
     apply_move,
-    find_sites,
     invert_steps,
     isomorphic,
     shift,
@@ -99,11 +98,6 @@ __all__ = [
     "CoveringGraph",
     "covering_graph",
 ]
-
-#: Search step kinds, letter-removing first so reductions are found early.
-#: The move-invariance suite walks sites in the same order, after shifts.
-ALL_MOVES: tuple[MoveKind, ...] = RANK_DECREASING + RANK_PRESERVING + RANK_INCREASING
-
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -197,16 +191,11 @@ class _Frontier:
         slots = max(n, 1)
         for j, rotated in enumerate((word, shift(word))):
             prefix = (MoveSite(MoveKind.SHIFT),) * j
-            # Each pair candidate is classified once, for all of its kinds.
-            pairs = {k: s for m in (1, 2, 3) for k, s in _pair_sites(rotated, m).items()}
-            for kind in ALL_MOVES:
-                adding = kind in RANK_INCREASING
-                if adding and (j or not adds):
-                    continue
-                for site in find_sites(rotated, kind) if adding else pairs[kind]:
-                    first, last = site.positions[0], site.positions[-1]
-                    if (first < period and last < slots) if adding else (not j or last == n - 1):
-                        yield prefix + (site,), apply_move(rotated, site)
+            for site in _sites(rotated, None if adds and j == 0 else 0):
+                first, last = site.positions[0], site.positions[-1]
+                adding = site.kind in RANK_INCREASING
+                if (first < period and last < slots) if adding else (j == 0 or last == n - 1):
+                    yield prefix + (site,), apply_move(rotated, site)
 
     def trace(self, key: bytes) -> MoveTrace:
         """The trace from the start word to state ``key``; its end is the state's word.
@@ -238,8 +227,7 @@ def reduce_bounded(
             break
     low = min(node.rank for node in frontier.nodes.values())
     lows = [frontier.trace(k) for k, node in frontier.nodes.items() if node.rank == low]
-    trace = min(lows, key=lambda t: shift_canonical_text(t.end()))
-    return trace.end(), trace
+    return min(((t.end(), t) for t in lows), key=lambda pair: shift_canonical_text(pair[0]))
 
 
 def oracle_class(word: Nanoword) -> Nanoword:

@@ -26,7 +26,7 @@ import numpy as np
 from .core import (
     MoveKind,
     Nanoword,
-    RANK_INCREASING,
+    _sites,
     apply_move,
     find_sites,
     isomorphic,
@@ -44,7 +44,6 @@ from .invariants import (
     u_realizable,
 )
 from .ops import cable, compose, covering
-from .search import ALL_MOVES
 
 __all__ = ["SuiteReport", "SUITES", "run_suite", "population"]
 
@@ -93,12 +92,6 @@ def population(max_rank: int, seed: int, sample: int, /) -> tuple[Nanoword, ...]
     return tuple(words)
 
 
-def _applicable_sites(word: Nanoword, cap_adds: int | None):
-    for kind in (MoveKind.SHIFT, *ALL_MOVES):
-        cap = cap_adds if kind in RANK_INCREASING else None
-        yield from find_sites(word, kind, max_sites=cap)
-
-
 def suite_move_invariance(max_rank: int, seed: int, sample: int) -> SuiteReport:
     """u, rho and the primitive based matrix are stable under every move.
 
@@ -107,13 +100,15 @@ def suite_move_invariance(max_rank: int, seed: int, sample: int) -> SuiteReport:
     never isomorphic.  Each reduction step drops an element of weight 0 or a
     pair of weights k and -k, so the signed counts of the primitive's border
     b(g, s) are the word's u; an isomorphism fixes s and so keeps the border.
-    A word and its moved words get their primitives from one ``_primitives``
-    call, so from one kernel call per rank among them.
+    A word's sites are its shift, then those of ``core._sites``, the walk the
+    search takes too, which classifies each pair candidate once.  A word and
+    its moved words get their primitives from one ``_primitives`` call, so
+    from one kernel call per rank among them.
     """
     report = SuiteReport("move-invariance")
     for word in population(max_rank, seed, sample):
         cap = None if word.rank <= max_rank else _ADD_SITE_CAP
-        sites = list(_applicable_sites(word, cap))
+        sites = find_sites(word, MoveKind.SHIFT) + list(_sites(word, cap))
         p0, *moved = _primitives([word, *(apply_move(word, s) for s in sites)])
         for site, p in zip(sites, moved):
             report.check(bm_isomorphic(p, p0), "%s under %s", word, site)

@@ -6,7 +6,7 @@ import pytest
 
 from vstring import cli
 from vstring.cli import main
-from vstring.core import parse
+from vstring.core import ALL_MOVES, MoveKind, find_sites, parse
 from vstring.enumeration import canonical_population
 from vstring.invariants import invariant_bundle
 from vstring.ops import cable, gen_alpha_n, gen_gamma_pq
@@ -202,7 +202,7 @@ class TestVerify:
         monkeypatch.setattr(suites, "bm_isomorphic", lambda p, q: False)
         report = suites.suite_move_invariance(max_rank=1, seed=7, sample=0)
         word = suites.population(1, 7, 0)[0]
-        site = next(suites._applicable_sites(word, None))
+        site = next(s for k in (MoveKind.SHIFT, *ALL_MOVES) for s in find_sites(word, k))
         assert report.passed == 0 and len(report.failures) == 20
         assert report.failures[0] == f"{word.text()} under {site}"
 
@@ -364,6 +364,16 @@ class TestSizeGuards:
         assert parse(out.strip()).rank == cli.MAX_WORD_RANK
         word = gen_alpha_n(cli.MAX_SEARCH_RANK).text()
         assert run(capsys, "reduce", word, "--budget", "0,1,1")[0] == 0
+
+    def test_budget_state_cap_checked_before_searching(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched past the state cap")
+
+        monkeypatch.setattr(cli, "reduce_bounded", refuse)
+        code, out, err = run(capsys, "reduce", "AA|a", "--budget", "2,1000001,64")
+        assert code == 1
+        assert "--budget max_states 1000001 exceeds the limit 1000000" in err
+        assert out == ""
 
     @pytest.mark.parametrize(
         "argv,message",

@@ -6,15 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vstring.core import (
+    ALL_MOVES,
     EMPTY,
+    MoveKind,
     Nanoword,
     apply_move,
     canonical_relabel,
+    find_sites,
     parse,
     shift,
     shift_canonical_text,
 )
 from vstring.enumeration import all_nanowords, canonical_population
+import vstring.core as core_module
 import vstring.invariants as invariants_module
 from vstring.invariants import (
     BasedMatrix,
@@ -39,7 +43,7 @@ from vstring.invariants import (
     u_realizable,
 )
 from vstring.ops import cable, compose, covering, gen_alpha_n, gen_gamma_pq, r_dot
-from vstring.suites import _applicable_sites, population, suite_move_invariance
+from vstring.suites import population, suite_move_invariance
 
 from test_core import nanowords
 
@@ -259,7 +263,8 @@ class TestTHRealizable:
         # from one kernel call per rank among them.
         expected = 0
         for word in population(2, 7, 0):
-            moved = [apply_move(word, s) for s in _applicable_sites(word, None)]
+            sites = [s for k in (MoveKind.SHIFT, *ALL_MOVES) for s in find_sites(word, k)]
+            moved = [apply_move(word, s) for s in sites]
             expected += len({w.rank for w in (word, *moved)})
         calls = []
         kernel = invariants_module._kernel
@@ -272,6 +277,20 @@ class TestTHRealizable:
         report = suite_move_invariance(2, 7, 0)
         assert len(calls) == expected == 22
         assert sum(calls) == report.total + len(population(2, 7, 0))
+
+    def test_move_invariance_classifies_each_candidate_once(self, monkeypatch):
+        # One _pair_sites pass per pair count m = 1, 2, 3 for each population
+        # word, for all the kinds of that many pairs.
+        calls = []
+        pair_sites = core_module._pair_sites
+
+        def counting_pair_sites(alpha, m):
+            calls.append(m)
+            return pair_sites(alpha, m)
+
+        monkeypatch.setattr(core_module, "_pair_sites", counting_pair_sites)
+        suite_move_invariance(2, 7, 0)
+        assert calls == [1, 2, 3] * len(population(2, 7, 0))
 
     def test_cap(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,10 @@ loop per move family, and the H3 family matched against an eight-entry table
 of letter patterns with a separate type condition per kind.  The library
 states each family once, as one predicate shared by ``find_sites`` and
 ``apply_move``, and reads the H3 kind from a single rule.
+
+The walk over all of a word's sites, ``core._sites``, classifies each pair
+candidate once for all its kinds; its reference is the public ``find_sites``
+called kind by kind in ``ALL_MOVES`` order.
 """
 
 import random
@@ -13,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 
 from vstring.core import (
+    ALL_MOVES,
+    RANK_INCREASING,
     TYPE_A,
     TYPE_B,
     MoveError,
@@ -25,6 +31,7 @@ from vstring.core import (
     _pair_candidates,
     _pick_fresh,
     _site_kind,
+    _sites,
     apply_move,
     find_sites,
     parse,
@@ -34,7 +41,7 @@ from vstring.core import (
 )
 from vstring.enumeration import canonical_population
 
-from test_core import nanowords
+from test_core import named_nanowords, nanowords
 
 # Pair slots are numbered u1=0 v1=1 u2=2 v2=3 u3=4 v3=5; each entry gives the
 # equalities between slots and the slots holding the roles (A, B, C).
@@ -354,3 +361,28 @@ def test_malformed_sites_fail_alike():
             site,
         )
 
+
+def ref_sites(alpha, cap):
+    """Every site of ``alpha`` but the shifts, from ``find_sites`` kind by kind."""
+    return [
+        site
+        for kind in ALL_MOVES
+        for site in find_sites(alpha, kind, max_sites=cap if kind in RANK_INCREASING else None)
+    ]
+
+
+SITE_CAPS = [None, 0, 6]
+
+
+@pytest.mark.parametrize("cap", SITE_CAPS)
+def test_sites_walk_matches_find_sites_on_population(cap):
+    for word in canonical_population(4):
+        for alpha in (word, shift(word)):
+            assert list(_sites(alpha, cap)) == ref_sites(alpha, cap), (alpha, cap)
+
+
+@given(named_nanowords(max_rank=6))
+@settings(max_examples=60, deadline=None)
+def test_sites_walk_matches_find_sites_on_named_words(alpha):
+    for cap in SITE_CAPS:
+        assert list(_sites(alpha, cap)) == ref_sites(alpha, cap), cap

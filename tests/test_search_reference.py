@@ -14,6 +14,7 @@ rotation 0 already reaches.
 from hypothesis import given, settings
 
 from vstring.core import (
+    ALL_MOVES,
     EMPTY,
     RANK_INCREASING,
     MoveKind,
@@ -26,7 +27,7 @@ from vstring.core import (
 )
 from vstring.enumeration import canonical_population
 from vstring.ops import cable, gen_alpha_n
-from vstring.search import ALL_MOVES, SearchBudget, _Frontier
+from vstring.search import SearchBudget, _Frontier
 
 from test_core import named_nanowords
 
