@@ -6,7 +6,9 @@ operations (``cover``, ``compose``, ``cable``, ``rdot``, ``preimage``,
 suites (``verify``), exhaustive tabulation (``tabulate``) and covering-graph
 export (``graph``).  Each subcommand, and each ``gen`` family, has one
 ``_cmd_*`` handler holding its body and its size guard; the subparser
-registers it as ``run``, and ``main`` only calls it.
+registers it as ``run``, and ``main`` only calls it.  ``main`` builds its
+parser once per process (again only if ``SUITES`` changes); ``build_parser``
+returns a fresh one.
 
 Exit codes: 0 for success (including an "unknown" equivalence verdict), 1 for
 usage or input errors, 2 when a verification suite fails.  Output depends on
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Sequence
 
 from .core import MoveTrace, NanowordError, canonical_relabel, parse
@@ -292,8 +295,17 @@ def _cmd_graph(args) -> None:
     )
 
 
+@lru_cache(maxsize=1)
+def _parser(suites: tuple[str, ...]) -> argparse.ArgumentParser:
+    """``build_parser()``, built once per set of ``SUITES`` names, which it lists.
+
+    Parsing leaves a parser as it was, so ``main`` reuses it.
+    """
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser(tuple(SUITES)).parse_args(argv)
     try:
         return args.run(args) or 0
     except (NanowordError, ValueError, KeyError, OSError) as exc:

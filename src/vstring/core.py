@@ -825,7 +825,11 @@ class MoveTrace:
 
 def invert_steps(start: Nanoword, steps: Sequence[MoveSite]) -> list[MoveSite]:
     """Sites undoing ``steps``: replaying them from the end word returns to ``start``."""
-    words = MoveTrace(start, tuple(steps)).replay()
+    return _inverted(MoveTrace(start, tuple(steps)).replay(), steps)
+
+
+def _inverted(words: Sequence[Nanoword], steps: Sequence[MoveSite]) -> list[MoveSite]:
+    """``invert_steps`` of ``steps``, given ``words``, the replay they make."""
     return [_invert_one(before, site) for before, site in zip(words, steps)][::-1]
 
 

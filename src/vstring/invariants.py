@@ -26,12 +26,14 @@ of equal-rank words at once.  ``head_tail_matrices`` and ``based_matrix``
 are its one-word case, and ``th_realizable`` calls it once per Gauss word,
 over the words that share it.  ``_primitives`` is the one path from words
 to primitive based matrices: it groups any list of words by rank, forms each
-rank's based matrices from one stack, and reduces each.  Move-invariance
-calls it once per population word with all its moved words, the tabulator
-once per Gauss-word group, and ``primitive_based_matrix`` and
-``distinguish`` on their one or two words.  Every based matrix built here,
-of a word, a composite or a cable, takes its border from one rule,
-``_bordered``.
+rank's based matrices from one stack, and reduces each distinct pairing once
+per call; a repeated pairing, often a moved word's, reuses that reduction
+under its own tags.  So a self-complementary element is logged once per
+distinct pairing of a call.  Move-invariance calls it once per population
+word with all its moved words, the tabulator once per Gauss-word group, and
+``primitive_based_matrix`` and ``distinguish`` on their one or two words.
+Every based matrix built here, of a word, a composite or a cable, takes its
+border from one rule, ``_bordered``.
 
 One rule decides what is cached: ``n_values`` is the one per-word cache,
 read-only, for the coverings of a word and for the words that several
@@ -556,17 +558,32 @@ def reduce_to_primitive(
 def _primitives(words: Sequence[Nanoword]) -> list[BasedMatrix]:
     """The primitive based matrices of any words, in order: one kernel call per rank.
 
-    Each rank's words go to one ``_based_matrices`` call, and each matrix
-    gets the deterministic reduction, ``reduce_to_primitive`` without rng.
+    Each rank's words go to one ``_based_matrices`` call, and each distinct
+    pairing gets the deterministic reduction, ``reduce_to_primitive`` without
+    rng, once per call.  That reduction picks its steps from the pairing
+    alone, so a matrix with a pairing seen before keeps the same indices:
+    it takes its own tags there and a copy of the first primitive's pairing.
     """
     by_rank: dict[int, list[Nanoword]] = {}
     for w in words:
         by_rank.setdefault(w.rank, []).append(w)
-    reduced = {
-        rank: iter([reduce_to_primitive(m)[0] for m in _based_matrices(group)])
-        for rank, group in by_rank.items()
-    }
-    return [next(reduced[w.rank]) for w in words]
+    matrices = {rank: iter(_based_matrices(group)) for rank, group in by_rank.items()}
+    # Pairings of different ranks differ in size, so their bytes are an exact key.
+    seen: dict[bytes, tuple[BasedMatrix, tuple[str, ...]]] = {}
+    out = []
+    for w in words:
+        m = next(matrices[w.rank])
+        key = m.pairing.tobytes()
+        if key in seen:
+            first, first_tags = seen[key]
+            own = dict(zip(first_tags, m.elements))
+            tags = tuple([own[tag] for tag in first.elements])
+            out.append(BasedMatrix._trusted(tags, first.pairing.copy()))
+        else:
+            primitive = reduce_to_primitive(m)[0]
+            seen[key] = primitive, m.elements
+            out.append(primitive)
+    return out
 
 
 def primitive_based_matrix(alpha: Nanoword) -> BasedMatrix:
@@ -582,10 +599,13 @@ def rho(alpha: Nanoword) -> int:
 def bm_isomorphic(m1: BasedMatrix, m2: BasedMatrix) -> bool:
     """Whether a bijection fixing s matches the two pairings entrywise.
 
-    Backtracking over element assignments, pruned by the per-element key
+    Equal pairings are matched by the identity, which fixes s.  Otherwise
+    backtracking over element assignments, pruned by the per-element key
     (b(g, s), sorted multiset of the row of g); exact at desk scale.
     """
     p1, p2 = m1.pairing.tolist(), m2.pairing.tolist()
+    if p1 == p2:
+        return True
     # The empty key is the special element's alone, so s maps to s.
     return _bijection(p1, p2, [(), *_row_keys(p1)], [(), *_row_keys(p2)]) is not None
 

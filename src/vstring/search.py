@@ -72,10 +72,10 @@ from .core import (
     Nanoword,
     RANK_INCREASING,
     _arrow_key,
+    _inverted,
     _shift_period,
     _sites,
     apply_move,
-    invert_steps,
     isomorphic,
     shift,
     shift_canonical,
@@ -257,22 +257,24 @@ class EquivalenceResult:
     report: DistinguishReport | None = None
 
 
-def _join_traces(fa: _Frontier, fb: _Frontier, key: bytes) -> MoveTrace:
+def _join_traces(fa: _Frontier, fb: _Frontier, key: bytes, end_a: Nanoword) -> MoveTrace:
     """Trace ``fa.start`` -> ``fb.start`` through the state ``key`` both sides hold.
 
-    With ``ka``/``kb`` the forward shifts that take each side's word at ``key``
+    ``end_a`` is the first side's word at ``key``, already replayed.  With
+    ``ka``/``kb`` the forward shifts that take each side's word at ``key``
     to the canonical position, the two words shifted there are identical up
     to renaming.  So the trace is the first path, then the net shift: ``ka -
     kb`` shifts, or ``kb - ka`` inverse shifts when ``kb > ka``; then the
     inverted second path, which replays verbatim on the first side's word.
     """
     ta, tb = fa.trace(key), fb.trace(key)
-    ka, kb = shifts_to_canonical(ta.end()), shifts_to_canonical(tb.end())
+    words_b = tb.replay()
+    ka, kb = shifts_to_canonical(end_a), shifts_to_canonical(words_b[-1])
     net = (MoveSite(MoveKind.SHIFT if ka > kb else MoveKind.SHIFT_INV),) * abs(ka - kb)
     # The inverted second-side steps replay on the first side's word, which
     # is only isomorphic to the second side's; drop recorded letter names so
     # letter-adding steps pick fresh ones instead of clashing.
-    back = tuple(replace(site, letters=()) for site in invert_steps(fb.start, tb.steps))
+    back = tuple(replace(site, letters=()) for site in _inverted(words_b, tb.steps))
     trace = MoveTrace(fa.start, ta.steps + net + back)
     if not isomorphic(trace.end(), fb.start):
         raise AssertionError("search produced an invalid equivalence trace")
@@ -308,8 +310,10 @@ def equivalent_bounded(
                 break
         if not progressed:
             return EquivalenceResult("unknown", report=report)
-    key = min(common, key=lambda k: shift_canonical_text(fa.trace(k).end()))
-    return EquivalenceResult("homotopic", trace=_join_traces(fa, fb, key))
+    end_a, key = min(
+        ((fa.trace(k).end(), k) for k in common), key=lambda pair: shift_canonical_text(pair[0])
+    )
+    return EquivalenceResult("homotopic", trace=_join_traces(fa, fb, key, end_a))
 
 
 # ---------------------------------------------------------------------------

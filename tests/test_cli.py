@@ -292,6 +292,24 @@ class TestUsageErrors:
             main(["cover", "AA|a"])
 
 
+class TestParser:
+    def test_main_builds_its_parser_once(self, capsys, monkeypatch):
+        # Each main call reuses one parser, also after a usage error, and
+        # gives the same output as a fresh one; build_parser stays fresh.
+        build = cli.build_parser
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        outputs = [run(capsys, "compute", "ABCACB|aaa") for _ in range(2)]
+        with pytest.raises(SystemExit):
+            main(["cover", "AA|a"])
+        outputs.append(run(capsys, "cover", "ABCACB|aaa", "-r", "2"))
+        cli._parser.cache_clear()
+        assert len(built) == 1
+        assert outputs[0] == outputs[1] and outputs[2][0] == 0
+        assert build() is not build()
+
+
 class TestSizeGuards:
     @pytest.mark.parametrize(
         "argv,builder",

@@ -241,9 +241,15 @@ class TestTHRealizable:
         assert [f.cache_info() for f in caches] == before
 
     def test_move_invariance_reduces_each_word_once(self, monkeypatch):
-        # One reduction per population word and one per moved word, and no
-        # weights: the primitives alone carry u and rho.
+        # One reduction per distinct based matrix pairing among each
+        # population word and its moved words, and no weights: the
+        # primitives alone carry u and rho.
         words = population(2, 7, 0)
+        expected = 0
+        for word in words:
+            sites = [s for k in (MoveKind.SHIFT, *ALL_MOVES) for s in find_sites(word, k)]
+            moved = [apply_move(word, s) for s in sites]
+            expected += len({str(based_matrix(w).pairing.tolist()) for w in (word, *moved)})
         reductions = []
         reduce = invariants_module.reduce_to_primitive
 
@@ -255,7 +261,8 @@ class TestTHRealizable:
         before = n_values.cache_info()
         report = suite_move_invariance(2, 7, 0)
         after = n_values.cache_info()
-        assert len(reductions) == report.total + len(words) == 334
+        assert report.total + len(words) == 334
+        assert len(reductions) == expected == 78
         assert after.hits + after.misses == before.hits + before.misses
 
     def test_move_invariance_one_kernel_call_per_rank(self, monkeypatch):

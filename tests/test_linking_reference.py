@@ -11,9 +11,12 @@ the row sums of T - H, and ``th_realizable`` shares the backtracker of
 ``bm_isomorphic``.  One stacked kernel computes the tail/head matrices of
 many equal-rank words at once, and each based matrix formed from its stack
 must keep an independent read-only pairing.  ``_primitives`` builds the
-primitives of any list of words with one kernel call per rank; it must give
-what building and reducing each word alone gives.  They must give the same
-weights, the same matrices and the same realizing word.
+primitives of any list of words with one kernel call per rank and one
+reduction per distinct pairing; it must give what building and reducing each
+word alone gives, also for a pairing repeated under other letter names.
+``bm_isomorphic`` matches equal pairings without a search, and must give
+the reference verdict.  They must give the same weights, the same matrices
+and the same realizing word.
 """
 
 import random
@@ -36,6 +39,7 @@ from vstring.invariants import (
     _line_keys,
     _primitives,
     based_matrix,
+    bm_isomorphic,
     cable_reduced_based_matrix,
     composite_based_matrix,
     head_tail_matrices,
@@ -48,6 +52,7 @@ from vstring.invariants import (
 from vstring.ops import cable
 
 from test_core import named_nanowords
+from test_reduction_reference import ref_bm_isomorphic
 
 
 def ref_n_values(alpha: Nanoword) -> dict[str, int]:
@@ -330,6 +335,69 @@ def test_primitives_of_empty_and_repeated_words():
 @settings(max_examples=60, deadline=None)
 def test_primitives_named_words(words):
     assert_primitives_match_per_word(words)
+
+
+def _renamed(w: Nanoword, names: list[str]) -> Nanoword:
+    """``w`` with its letters, in name order, renamed to ``names``."""
+    mapping = dict(zip(w.letters, names))
+    return Nanoword([mapping[x] for x in w.word], {mapping[x]: w.type_of(x) for x in w.letters})
+
+
+def _renamed_copies(w: Nanoword) -> list[Nanoword]:
+    # Names in the same order keep the pairing and change every tag; names
+    # in reverse order permute the pairing.
+    names = sorted(f"Q{i}" for i in range(w.rank))
+    return [_renamed(w, names), _renamed(w, names[::-1])]
+
+
+def test_primitives_of_renamed_copies(monkeypatch):
+    # A pairing seen before takes the first one's reduction with its own tags.
+    words = [parse("ABCACB|aaa"), parse("AABCBDCD|aaab"), parse("ABCADBECDE|aaaaa")]
+    words += canonical_population(3)[::7]
+    words = [c for w in words for c in (w, *_renamed_copies(w), w)]
+    random.Random(34).shuffle(words)
+    reductions = []
+    reduce = invariants.reduce_to_primitive
+
+    def counting_reduce(m, **kwargs):
+        reductions.append(m.pairing.tolist())
+        return reduce(m, **kwargs)
+
+    monkeypatch.setattr(invariants, "reduce_to_primitive", counting_reduce)
+    primitives = _primitives(words)
+    monkeypatch.undo()
+    first_tags: dict[str, tuple[str, ...]] = {}
+    retagged = 0
+    for w, p in zip(words, primitives):
+        tags = first_tags.setdefault(str(based_matrix(w).pairing.tolist()), p.elements)
+        retagged += tags != p.elements
+    assert len(reductions) == len(first_tags) < len(words)
+    assert retagged > 0
+    assert_primitives_match_per_word(words)
+
+
+def test_bm_isomorphic_on_equal_and_retagged_pairings(monkeypatch):
+    # Equal pairings are matched without a search; every verdict is the
+    # reference's, with tags renamed or not.
+    matrices = []
+    for w in canonical_population(3)[::5]:
+        for c in (w, *_renamed_copies(w)):
+            m = based_matrix(c)
+            matrices += [m, reduce_to_primitive(m)[0]]
+    verdicts = [
+        (bm_isomorphic(m1, m2), ref_bm_isomorphic(m1, m2)) for m1 in matrices for m2 in matrices
+    ]
+    assert all(got == expected for got, expected in verdicts)
+    assert 0 < sum(got for got, _ in verdicts) < len(verdicts)
+
+    def no_search(*args):
+        raise AssertionError("equal pairings searched for a bijection")
+
+    monkeypatch.setattr(invariants, "_bijection", no_search)
+    for m in matrices:
+        retagged = BasedMatrix((SPECIAL, *(f"R{i}" for i in range(m.size - 1))), m.pairing)
+        assert bm_isomorphic(m, m) and bm_isomorphic(m, retagged)
+        assert ref_bm_isomorphic(m, retagged)
 
 
 def _internal_matrices(w: Nanoword, v: Nanoword) -> list[BasedMatrix]:

@@ -306,8 +306,9 @@ class TestJoinTraces:
     def check_joins(self, monkeypatch, pairs, budget=DEFAULT_BUDGET):
         nets = []
 
-        def checked(fa, fb, key):
-            trace = _join_traces(fa, fb, key)
+        def checked(fa, fb, key, end_a):
+            assert end_a == fa.trace(key).end()
+            trace = _join_traces(fa, fb, key, end_a)
             steps = list(trace.steps)
             assert steps == ref_join_steps(fa, fb, key), (fa.start.text(), fb.start.text())
             for before, after in zip(steps, steps[1:]):
@@ -329,11 +330,11 @@ class TestJoinTraces:
         # one whose printed canonical text is least.
         shared_counts = []
 
-        def checked(fa, fb, key):
+        def checked(fa, fb, key, end_a):
             shared = [k for k in fa.nodes if k in fb.nodes]
             shared_counts.append(len(shared))
             assert key == min(shared, key=lambda k: shift_canonical_text(fa.trace(k).end()))
-            return _join_traces(fa, fb, key)
+            return _join_traces(fa, fb, key, end_a)
 
         monkeypatch.setattr("vstring.search._join_traces", checked)
         for word in ("AABCCB|aaa", "AABCCB|aab", "AABCCB|bab"):
